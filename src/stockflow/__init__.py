@@ -25,7 +25,6 @@ from .diagrams import (
     Foot,
     OpenStockFlow,
     StockFlowDiagram,
-    SystemStructureDiagram,
     attach_dynamics,
     build_stockflow,
     build_system_structure,

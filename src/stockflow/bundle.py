@@ -17,7 +17,6 @@ from .diagrams import (
     DiagramError,
     Foot,
     StockFlowDiagram,
-    SystemStructureDiagram,
     build_system_structure,
     foot as make_foot,
     upstream,
@@ -97,7 +96,7 @@ class ModelBundle:
 
 # --- diagrams <-> bundle entries -------------------------------------------
 
-def diagram_to_model(d: StockFlowDiagram | SystemStructureDiagram) -> ModelDef:
+def diagram_to_model(d: StockFlowDiagram) -> ModelDef:
     """Normal form of a diagram: inflow/outflow rows become per-flow
     upstream/downstream fields (well defined by injectivity)."""
     inst = d.inst
@@ -112,7 +111,7 @@ def diagram_to_model(d: StockFlowDiagram | SystemStructureDiagram) -> ModelDef:
             )
         )
     expressions = {}
-    if isinstance(d, StockFlowDiagram):
+    if d.expressions is not None:
         expressions = {v: format_expression(e) for v, e in d.expressions.items()}
     return ModelDef(
         stocks=inst.names_of("S"),
@@ -135,7 +134,7 @@ def diagram_to_model(d: StockFlowDiagram | SystemStructureDiagram) -> ModelDef:
     )
 
 
-def model_to_structure(m: ModelDef) -> SystemStructureDiagram:
+def model_to_structure(m: ModelDef) -> StockFlowDiagram:
     stocks: dict[str, list] = {s: [[], [], [], []] for s in m.stocks}
     for fd in m.flows:
         if fd.downstream is not None:
@@ -176,22 +175,10 @@ def model_to_diagram(m: ModelDef) -> StockFlowDiagram:
     structure = model_to_structure(m)
     try:
         return StockFlowDiagram(
-            structure, {v: parse_expression(m.expressions[v]) for v in m.variables}
+            structure.inst, {v: parse_expression(m.expressions[v]) for v in m.variables}
         )
     except KeyError as exc:
         raise BundleError(f"missing formula for variable {exc.args[0]!r}") from exc
-
-
-def foot_to_def(f: Foot) -> FootDef:
-    inst = f.inst
-    return FootDef(
-        stock=inst.name_of("S", 1),
-        sum_variable=inst.name_of("SV", 1),
-        links=[
-            (inst.name_of("S", subpart(inst, "lss", r)), inst.name_of("SV", subpart(inst, "lssv", r)))
-            for r in range(1, inst.n["LS"] + 1)
-        ],
-    )
 
 
 def def_to_foot(fd: FootDef) -> Foot:
@@ -199,17 +186,6 @@ def def_to_foot(fd: FootDef) -> Foot:
         return make_foot(fd.stock, fd.sum_variable, fd.links)
     except DiagramError as exc:
         raise BundleError(str(exc)) from exc
-
-
-def pattern_to_def(p: WiringPattern, box_models: list[str], box_feet: list[list[str]]) -> PatternDef:
-    return PatternDef(
-        junctions=list(p.junctions),
-        boxes=[
-            BoxDef(model=model, feet=list(feet), ports=list(box.ports))
-            for box, model, feet in zip(p.boxes, box_models, box_feet)
-        ],
-        outer_ports=list(p.outer_ports),
-    )
 
 
 def def_to_pattern(pd: PatternDef) -> WiringPattern:
@@ -242,8 +218,8 @@ def typing_to_def(name_model: str, name_type: str, t: TypedDiagram) -> TypingDef
 
 def def_to_typing(
     td: TypingDef,
-    model: SystemStructureDiagram,
-    type_model: SystemStructureDiagram,
+    model: StockFlowDiagram,
+    type_model: StockFlowDiagram,
 ) -> TypedDiagram:
     """Rebuild a typed diagram from the four name tables; the link and
     inflow/outflow components are forced by commutation and must resolve

@@ -15,13 +15,7 @@ from . import bundle as bundle_io
 from .acset import validate_instance
 from .bundle import BundleError, ModelBundle
 from .compose import oapply
-from .diagrams import (
-    DiagramError,
-    StockFlowDiagram,
-    flatten_names,
-    open_diagram,
-    to_system_structure,
-)
+from .diagrams import DiagramError, flatten_names, open_diagram, to_system_structure
 from .odes import OdeError, integrate_adaptive, integrate_fixed, vectorfield
 from .render import emit_csv, emit_dot, emit_dot_causal, emit_dot_typed
 from .stratify import TypedDiagram, typed_stratify
@@ -159,8 +153,7 @@ def _cmd_convert(args) -> int:
     name, md = _pick(b.models, "model", args.model)
     d = _build_model(b, name, md, need_formulas=False)
     if args.to == "system-structure":
-        structure = to_system_structure(d) if isinstance(d, StockFlowDiagram) else d
-        out = ModelBundle(models={name: bundle_io.diagram_to_model(structure)})
+        out = ModelBundle(models={name: bundle_io.diagram_to_model(to_system_structure(d))})
         _write(args.out, bundle_io.emit_json(out))
     else:
         cl = to_causal_loop(d)

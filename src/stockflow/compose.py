@@ -16,7 +16,7 @@ from .diagrams import (
     Foot,
     OpenStockFlow,
     StockFlowDiagram,
-    SystemStructureDiagram,
+    duplicate_names,
     interface_part,
 )
 
@@ -78,6 +78,8 @@ def oapply(pattern: WiringPattern, opens: list[OpenStockFlow]) -> OpenStockFlow:
                 f"box {box.name!r} has {len(box.ports)} ports but the diagram has "
                 f"{len(open_diag.feet)} feet"
             )
+        if open_diag.apex.expressions is None:
+            raise DiagramError(f"box {box.name!r} has no formulas; attach them before gluing")
 
     attachments: dict[str, list[tuple[int, int]]] = {j: [] for j in pattern.junctions}
     for box_i, box in enumerate(pattern.boxes):
@@ -116,21 +118,19 @@ def oapply(pattern: WiringPattern, opens: list[OpenStockFlow]) -> OpenStockFlow:
                     )
 
     glued, injections = pushout_quotient(parts, identifications)
-    for obj, kind in (("S", "stock"), ("F", "flow"), ("V", "variable"), ("SV", "sum variable")):
-        names = glued.names_of(obj)
-        clash = sorted({nm for nm in names if names.count(nm) > 1})
-        if clash:
-            raise DiagramError(
-                f"composition leaves duplicate {kind} name(s): {', '.join(clash)}"
-                " (identify them through a junction or rename)"
-            )
+    dupes = duplicate_names(glued)
+    if dupes:
+        raise DiagramError(
+            f"composition leaves duplicate {dupes[0]} name(s): {', '.join(dupes[1])}"
+            " (identify them through a junction or rename)"
+        )
 
     expressions: dict[str, object] = {}
     glued_vars = glued.names_of("V")
     for open_diag, inj in zip(opens, injections):
         for v_idx, v_name in enumerate(open_diag.apex.variables, start=1):
             expressions[glued_vars[inj.apply("V", v_idx) - 1]] = open_diag.apex.expressions[v_name]
-    composed = StockFlowDiagram(SystemStructureDiagram(glued), expressions)
+    composed = StockFlowDiagram(glued, expressions)
 
     target = interface_part(glued)
     feet: list[Foot] = []

@@ -1,10 +1,13 @@
-"""Stock-flow, system-structure and interface diagram types with builders.
+"""Stock-flow and interface diagram types with builders.
 
-The builders take the four-block layout used throughout the bundled models:
-a stock block (per stock: inflows, outflows, linked variables, linked sum
-variables), a flow block (flow -> rate variable), a variable block
-(variable -> formula; absent for bare structures) and a sum block
-(sum variable -> the variables it feeds).
+One class, :class:`StockFlowDiagram`, serves both kinds of diagram: with
+formulas it is a stock-flow diagram, without (``expressions`` None) a bare
+system-structure diagram.
+
+The builders take a four-block layout: a stock block (per stock: inflows,
+outflows, linked variables, linked sum variables), a flow block (flow ->
+rate variable), a variable block (variable -> formula; absent for bare
+structures) and a sum block (sum variable -> the variables it feeds).
 
 Element order is fixed by the blocks: stocks, flows, variables and sum
 variables in block order; inflow/outflow/link rows in stock-major order;
@@ -12,6 +15,7 @@ sum-variable links in sum-major order.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -34,8 +38,12 @@ class DiagramError(Exception):
 
 
 @dataclass
-class SystemStructureDiagram:
+class StockFlowDiagram:
+    """The instance tables plus one formula per auxiliary variable; a bare
+    system-structure diagram has ``expressions`` None."""
+
     inst: Instance
+    expressions: dict[str, Expression] | None = None
 
     @property
     def stocks(self) -> list[str]:
@@ -52,32 +60,6 @@ class SystemStructureDiagram:
     @property
     def sum_variables(self) -> list[str]:
         return self.inst.names_of("SV")
-
-
-@dataclass
-class StockFlowDiagram:
-    structure: SystemStructureDiagram
-    expressions: dict[str, Expression]  # one formula per auxiliary variable
-
-    @property
-    def inst(self) -> Instance:
-        return self.structure.inst
-
-    @property
-    def stocks(self) -> list[str]:
-        return self.structure.stocks
-
-    @property
-    def flows(self) -> list[str]:
-        return self.structure.flows
-
-    @property
-    def variables(self) -> list[str]:
-        return self.structure.variables
-
-    @property
-    def sum_variables(self) -> list[str]:
-        return self.structure.sum_variables
 
 
 @dataclass
@@ -110,7 +92,7 @@ def build_system_structure(
     flows: Mapping[str, str] | Sequence[tuple[str, str]],
     sums: Mapping[str, object] | Sequence[tuple[str, object]] = (),
     variable_order: Sequence[str] | None = None,
-) -> SystemStructureDiagram:
+) -> StockFlowDiagram:
     """Assemble the instance tables from the block layout (no formulas)."""
     stock_items = list(stocks.items() if isinstance(stocks, Mapping) else stocks)
     flow_items = list(flows.items() if isinstance(flows, Mapping) else flows)
@@ -198,7 +180,7 @@ def build_system_structure(
     problems = validate_instance(inst)
     if problems:
         raise DiagramError("; ".join(problems))
-    return SystemStructureDiagram(inst)
+    return StockFlowDiagram(inst)
 
 
 def build_stockflow(
@@ -217,7 +199,7 @@ def build_stockflow(
 
 
 def attach_dynamics(
-    structure: SystemStructureDiagram,
+    structure: StockFlowDiagram,
     exprs: Mapping[str, object],
 ) -> StockFlowDiagram:
     """Promote a structure to a stock-flow diagram by giving every auxiliary
@@ -254,15 +236,25 @@ def attach_dynamics(
                 raise DiagramError(f"variable {v_name!r} uses stock {ident!r} without a link")
             if ident in sums and ident not in linked_sums:
                 raise DiagramError(f"variable {v_name!r} uses sum variable {ident!r} without a link")
-    return StockFlowDiagram(structure, {v: compiled[v] for v in var_names})
+    return StockFlowDiagram(inst, {v: compiled[v] for v in var_names})
 
 
-def to_system_structure(d: StockFlowDiagram) -> SystemStructureDiagram:
+def to_system_structure(d: StockFlowDiagram) -> StockFlowDiagram:
     """Forget the formulas, keeping the instance unchanged."""
-    return d.structure
+    return StockFlowDiagram(d.inst)
 
 
-def flatten_names(s: SystemStructureDiagram) -> SystemStructureDiagram:
+def duplicate_names(inst: Instance) -> tuple[str, list[str]] | None:
+    """The first of the stock, flow, variable and sum-variable tables that
+    repeats a name, as ``(kind, repeated names)``; None if all are unique."""
+    for obj, kind in (("S", "stock"), ("F", "flow"), ("V", "variable"), ("SV", "sum variable")):
+        clash = sorted(name for name, k in Counter(inst.names_of(obj)).items() if k > 1)
+        if clash:
+            return kind, clash
+    return None
+
+
+def flatten_names(s: StockFlowDiagram) -> StockFlowDiagram:
     """Rewrite tuple-style composite names such as ``(inf, id_F)`` to plain
     labels: keep the first component not starting with ``id``, or ``id`` if
     every component does.  Plain names pass through unchanged."""
@@ -273,11 +265,10 @@ def flatten_names(s: SystemStructureDiagram) -> SystemStructureDiagram:
         columns={m: list(col) for m, col in inst.columns.items()},
         names={attr: [_flatten(nm) for nm in col] for attr, col in inst.names.items()},
     )
-    for attr, col in out.names.items():
-        dupes = {nm for nm in col if col.count(nm) > 1}
-        if dupes:
-            raise DiagramError(f"flattening collides on {attr}: {', '.join(sorted(dupes))}")
-    return SystemStructureDiagram(out)
+    dupes = duplicate_names(out)
+    if dupes:
+        raise DiagramError(f"flattening collides on {dupes[0]} names: {', '.join(dupes[1])}")
+    return StockFlowDiagram(out)
 
 
 def _flatten(name: str) -> str:
@@ -353,21 +344,21 @@ def _unique_named(inst: Instance, obj: str, name: str) -> int:
     return hits[0]
 
 
-def upstream(d: StockFlowDiagram | SystemStructureDiagram, flow: str) -> str | None:
+def upstream(d: StockFlowDiagram, flow: str) -> str | None:
     """The stock the flow drains, or None for a source cloud."""
     inst = d.inst
     rows = incident(inst, "ofn", inst.index_of("F", flow))
     return inst.name_of("S", subpart(inst, "os", rows[0])) if rows else None
 
 
-def downstream(d: StockFlowDiagram | SystemStructureDiagram, flow: str) -> str | None:
+def downstream(d: StockFlowDiagram, flow: str) -> str | None:
     """The stock the flow fills, or None for a sink cloud."""
     inst = d.inst
     rows = incident(inst, "ifn", inst.index_of("F", flow))
     return inst.name_of("S", subpart(inst, "is", rows[0])) if rows else None
 
 
-def inflows_of(d: StockFlowDiagram | SystemStructureDiagram, stock: str) -> list[str]:
+def inflows_of(d: StockFlowDiagram, stock: str) -> list[str]:
     inst = d.inst
     return [
         inst.name_of("F", subpart(inst, "ifn", row))
@@ -375,7 +366,7 @@ def inflows_of(d: StockFlowDiagram | SystemStructureDiagram, stock: str) -> list
     ]
 
 
-def outflows_of(d: StockFlowDiagram | SystemStructureDiagram, stock: str) -> list[str]:
+def outflows_of(d: StockFlowDiagram, stock: str) -> list[str]:
     inst = d.inst
     return [
         inst.name_of("F", subpart(inst, "ofn", row))

@@ -1,534 +1,161 @@
-"""Bundled example models: an open-population SEIR measles model, the SVE
-vaccination fragment it composes with, a small closed SIS model, and the
-typed system-structure diagrams used by the stratification examples.
+"""Bundled example models, read from the JSON bundles under ``models/``: an
+open-population SEIR measles model, the SVE vaccination fragment it composes
+with, a small closed SIS model, the typed system-structure diagrams used by
+the stratification examples and the sex-stratified SIS they produce.
 
-Parameter names are ASCII (beta, mu, delta, tlatent, trecovery, alpha, e).
+The files are the only source of these models.  They are found in the
+``models/`` directory next to ``src/``, so this module needs a source
+checkout or an editable install; the CLI does not import it.
 """
 from __future__ import annotations
 
-from .compose import Box, WiringPattern
-from .diagrams import (
-    Foot,
-    StockFlowDiagram,
-    SystemStructureDiagram,
-    build_stockflow,
-    build_system_structure,
-    foot,
-)
-from .stratify import TypedDiagram, make_typed
+from pathlib import Path
+
+from . import bundle as bundle_io
+from .bundle import ModelBundle
+from .compose import WiringPattern
+from .diagrams import Foot, StockFlowDiagram
+from .stratify import TypedDiagram
+
+MODELS_DIR = Path(__file__).resolve().parents[2] / "models"
+
+
+def load(name: str) -> ModelBundle:
+    """Parse ``models/<name>.json``."""
+    path = MODELS_DIR / f"{name}.json"
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise FileNotFoundError(
+            f"bundled model file {path} not found; stockflow.models reads the models/ "
+            "directory next to src/, which needs a source checkout or an editable install"
+        ) from exc
+    return bundle_io.parse_json(text)
+
+
+def bundles() -> dict[str, ModelBundle]:
+    """Every shipped bundle, keyed by file stem."""
+    return {path.stem: load(path.stem) for path in sorted(MODELS_DIR.glob("*.json"))}
+
+
+def _diagram(name: str, model: str) -> StockFlowDiagram:
+    return bundle_io.model_to_diagram(load(name).models[model])
+
+
+def _structure(name: str, model: str) -> StockFlowDiagram:
+    return bundle_io.model_to_structure(load(name).models[model])
+
+
+def _typed(name: str, ts: StockFlowDiagram | None) -> TypedDiagram:
+    """The bundle's one typing; `ts` replaces its own copy of the type system."""
+    b = load(name)
+    (td,) = b.typings.values()
+    if ts is None:
+        ts = bundle_io.model_to_structure(b.models[td.type_model])
+    return bundle_io.def_to_typing(td, bundle_io.model_to_structure(b.models[td.model]), ts)
 
 
 def seir() -> StockFlowDiagram:
     """Open-population SEIR: births into S, proportional deaths everywhere,
     incidence beta*S*I/N, latency and recovery as first-order delays."""
-    return build_stockflow(
-        {
-            "S": ("birth", ("incid", "deathS"), ("v_incid", "v_deathS"), "N"),
-            "E": ("incid", ("inf", "deathE"), ("v_inf", "v_deathE"), "N"),
-            "I": ("inf", ("rec", "deathI"), ("v_incid", "v_rec", "v_deathI"), "N"),
-            "R": ("rec", "deathR", "v_deathR", "N"),
-        },
-        {
-            "birth": "v_birth",
-            "incid": "v_incid",
-            "inf": "v_inf",
-            "rec": "v_rec",
-            "deathS": "v_deathS",
-            "deathE": "v_deathE",
-            "deathI": "v_deathI",
-            "deathR": "v_deathR",
-        },
-        {
-            "v_birth": "mu*N",
-            "v_incid": "beta*S*I/N",
-            "v_inf": "E/tlatent",
-            "v_rec": "I/trecovery",
-            "v_deathS": "S*delta",
-            "v_deathE": "E*delta",
-            "v_deathI": "I*delta",
-            "v_deathR": "R*delta",
-        },
-        {"N": ("v_birth", "v_incid")},
-    )
+    return _diagram("seir", "seir")
 
 
 def measles_parameters() -> dict[str, float]:
-    return {
-        "beta": 49.598,
-        "mu": 0.03 / 12,
-        "delta": 0.03 / 12,
-        "tlatent": 8.0 / 30,
-        "trecovery": 5.0 / 30,
-    }
+    return load("seir").parameters["measles"]
 
 
 def measles_initial() -> dict[str, float]:
-    return {"S": 90000.0 - 930.0, "E": 0.0, "I": 930.0, "R": 773545.0}
+    return load("seir").initial["measles"]
 
 
 def sve() -> StockFlowDiagram:
     """Vaccination fragment: S is vaccinated into V, V dies or suffers
     breakthrough infection into E; I only drives the infection rate."""
-    return build_stockflow(
-        {
-            "S": (None, "vacc", "v_vacc", "N"),
-            "V": ("vacc", ("deathV", "incidv"), ("v_deathV", "v_incidv"), "N"),
-            "E": ("incidv", None, None, "N"),
-            "I": (None, None, "v_incidv", "N"),
-        },
-        {"vacc": "v_vacc", "deathV": "v_deathV", "incidv": "v_incidv"},
-        {
-            "v_vacc": "S*alpha",
-            "v_deathV": "V*delta",
-            "v_incidv": "beta*V*I*(1.0-e)/N",
-        },
-        {"N": ("v_incidv",)},
-    )
+    return _diagram("seirv", "sve")
 
 
 def seirv_pattern() -> WiringPattern:
     """Glue the SEIR and SVE boxes at S, E and I (each foot also carries N)."""
-    return WiringPattern(
-        junctions=["S", "E", "I"],
-        boxes=[Box("seir", ["S", "E", "I"]), Box("sve", ["S", "E", "I"])],
-        outer_ports=[],
-    )
+    return bundle_io.def_to_pattern(load("seirv").wiring["seirv"])
 
 
 def seirv_feet() -> list[Foot]:
-    return [foot("S", "N", [("S", "N")]), foot("E", "N", [("E", "N")]), foot("I", "N", [("I", "N")])]
+    return [bundle_io.def_to_foot(fd) for fd in load("seirv").feet.values()]
 
 
 def seirv_parameters() -> dict[str, float]:
-    return {
-        "beta": 49.598 / 30,
-        "mu": 0.03 / 365,
-        "delta": 0.03 / 365,
-        "tlatent": 8.0,
-        "trecovery": 5.0,
-        "alpha": 0.01,
-        "e": 0.9,
-    }
+    return load("seirv").parameters["seirv"]
 
 
 def seirv_initial() -> dict[str, float]:
-    return {"S": 10000.0 - 1.0, "E": 0.0, "I": 1.0, "R": 0.0, "V": 0.0}
+    return load("seirv").initial["seirv"]
 
 
 def sis() -> StockFlowDiagram:
     """Minimal closed SIS used by the semantics round-trip checks."""
-    return build_stockflow(
-        {
-            "S": ("rec", "inf", "v_inf", "N"),
-            "I": ("inf", "rec", ("v_inf", "v_rec"), "N"),
-        },
-        {"inf": "v_inf", "rec": "v_rec"},
-        {"v_inf": "beta*S*I/N", "v_rec": "I/trecovery"},
-        {"N": ("v_inf",)},
-    )
+    return _diagram("sis", "sis")
 
 
-# --- type system and typed structures for stratification -------------------
-
-def type_system() -> SystemStructureDiagram:
+def type_system() -> StockFlowDiagram:
     """One stock kind plus the five flow kinds (births, deaths, new
     infections, aging, first-order delay) and three sum-variable kinds
     (total, subgroup, infectious-of-subgroup)."""
-    return build_system_structure(
-        {
-            "Pop": (
-                ("births", "newInfectious", "firstOrderDelay", "aging"),
-                ("deaths", "newInfectious", "firstOrderDelay", "aging"),
-                ("v_deaths", "v_newInfectious", "v_firstOrderDelay", "v_aging"),
-                ("NS", "NI", "N"),
-            )
-        },
-        {
-            "deaths": "v_deaths",
-            "births": "v_births",
-            "newInfectious": "v_newInfectious",
-            "firstOrderDelay": "v_firstOrderDelay",
-            "aging": "v_aging",
-        },
-        {"N": "v_births", "NI": "v_newInfectious", "NS": "v_newInfectious"},
-    )
+    return _structure("s_type", "s_type")
 
 
-def seir_structure() -> SystemStructureDiagram:
+def seir_structure() -> StockFlowDiagram:
     """SEIR structure padded with one identity flow per stock so it exposes
     an aging-kind flow to stratify against."""
-    return build_system_structure(
-        {
-            "S": (("birth", "id_S"), ("incid", "deathS", "id_S"), ("v_incid", "v_deathS", "v_idS"), ("N", "NS")),
-            "E": (("incid", "id_E"), ("inf", "deathE", "id_E"), ("v_inf", "v_deathE", "v_idE"), ("N", "NS")),
-            "I": (("inf", "id_I"), ("rec", "deathI", "id_I"), ("v_incid", "v_rec", "v_deathI", "v_idI"), ("N", "NS", "NI")),
-            "R": (("rec", "id_R"), ("deathR", "id_R"), ("v_deathR", "v_idR"), ("N", "NS")),
-        },
-        {
-            "birth": "v_birth",
-            "incid": "v_incid",
-            "inf": "v_inf",
-            "rec": "v_rec",
-            "deathS": "v_deathS",
-            "deathE": "v_deathE",
-            "deathI": "v_deathI",
-            "deathR": "v_deathR",
-            "id_S": "v_idS",
-            "id_E": "v_idE",
-            "id_I": "v_idI",
-            "id_R": "v_idR",
-        },
-        {"N": "v_birth", "NS": "v_incid", "NI": "v_incid"},
-    )
+    return _structure("seir_typed", "seir_structure")
 
 
-def sis_structure() -> SystemStructureDiagram:
-    """SIS structure with identity flows; recovery is a first-order delay
-    back into S."""
-    return build_system_structure(
-        {
-            "S": (
-                ("births", "id_S", "newRecovery"),
-                ("deathS", "id_S", "newInfectious"),
-                ("v_deathS", "v_idS", "v_newInfectious"),
-                ("N", "NS"),
-            ),
-            "I": (
-                ("newInfectious", "id_I"),
-                ("deathI", "id_I", "newRecovery"),
-                ("v_deathI", "v_idI", "v_newRecovery"),
-                ("N", "NS", "NI"),
-            ),
-        },
-        {
-            "births": "v_births",
-            "deathS": "v_deathS",
-            "deathI": "v_deathI",
-            "newInfectious": "v_newInfectious",
-            "newRecovery": "v_newRecovery",
-            "id_S": "v_idS",
-            "id_I": "v_idI",
-        },
-        {"N": "v_births", "NI": "v_newInfectious", "NS": "v_newInfectious"},
-    )
-
-
-def age_strata_structure() -> SystemStructureDiagram:
+def age_strata_structure() -> StockFlowDiagram:
     """Three age groups with aging between neighbours; the identity flows
     carry the first-order-delay kind here."""
-    return build_system_structure(
-        {
-            "Child": (
-                ("births", "newInfectiousChild", "id_C"),
-                ("deathsChild", "newInfectiousChild", "agingChild", "id_C"),
-                ("v_deathsChild", "v_newInfectiousChild", "v_agingChild", "v_id_C"),
-                ("NI_Child", "NS_Child", "N"),
-            ),
-            "Adult": (
-                ("agingChild", "newInfectiousAdult", "id_A"),
-                ("deathsAdult", "newInfectiousAdult", "agingAdult", "id_A"),
-                ("v_deathsAdult", "v_newInfectiousAdult", "v_agingAdult", "v_id_A"),
-                ("NI_Adult", "NS_Adult", "N"),
-            ),
-            "Senior": (
-                ("agingAdult", "newInfectiousSenior", "id_S"),
-                ("deathsSenior", "newInfectiousSenior", "id_S"),
-                ("v_deathsSenior", "v_newInfectiousSenior", "v_id_S"),
-                ("NI_Senior", "NS_Senior", "N"),
-            ),
-        },
-        {
-            "births": "v_births",
-            "newInfectiousChild": "v_newInfectiousChild",
-            "newInfectiousAdult": "v_newInfectiousAdult",
-            "newInfectiousSenior": "v_newInfectiousSenior",
-            "id_C": "v_id_C",
-            "id_A": "v_id_A",
-            "id_S": "v_id_S",
-            "agingChild": "v_agingChild",
-            "agingAdult": "v_agingAdult",
-            "deathsChild": "v_deathsChild",
-            "deathsAdult": "v_deathsAdult",
-            "deathsSenior": "v_deathsSenior",
-        },
-        {
-            "N": "v_births",
-            "NI_Child": ("v_newInfectiousChild", "v_newInfectiousAdult", "v_newInfectiousSenior"),
-            "NS_Child": ("v_newInfectiousChild", "v_newInfectiousAdult", "v_newInfectiousSenior"),
-            "NI_Adult": ("v_newInfectiousChild", "v_newInfectiousAdult", "v_newInfectiousSenior"),
-            "NS_Adult": ("v_newInfectiousChild", "v_newInfectiousAdult", "v_newInfectiousSenior"),
-            "NI_Senior": ("v_newInfectiousChild", "v_newInfectiousAdult", "v_newInfectiousSenior"),
-            "NS_Senior": ("v_newInfectiousChild", "v_newInfectiousAdult", "v_newInfectiousSenior"),
-        },
-    )
+    return _structure("age_typed", "age_strata")
 
 
-def sex_strata_structure(with_aging: bool = False) -> SystemStructureDiagram:
-    """Two sexes; `with_aging` adds a self-loop aging flow per stock so the
-    model can join age-stratified pullbacks."""
-    def spec(group: str) -> tuple:
-        inflows = [f"births{group}", f"newInfectious{group}", f"id_{group}"]
-        outflows = [f"deaths{group}", f"newInfectious{group}", f"id_{group}"]
-        link_vars = [f"v_deaths{group}", f"v_newInfectious{group}", f"v_id{group}"]
-        if with_aging:
-            inflows.append(f"aging{group}")
-            outflows.append(f"aging{group}")
-            link_vars.append(f"v_aging{group}")
-        return (inflows, outflows, link_vars, (f"NI_{group}", f"NS_{group}", "N"))
-
-    flows = {
-        "birthsF": "v_birthsF",
-        "birthsM": "v_birthsM",
-        "newInfectiousF": "v_newInfectiousF",
-        "newInfectiousM": "v_newInfectiousM",
-        "id_F": "v_idF",
-        "id_M": "v_idM",
-        "deathsF": "v_deathsF",
-        "deathsM": "v_deathsM",
-    }
-    if with_aging:
-        flows["agingF"] = "v_agingF"
-        flows["agingM"] = "v_agingM"
-    return build_system_structure(
-        {"F": spec("F"), "M": spec("M")},
-        flows,
-        {
-            "N": ("v_birthsF", "v_birthsM"),
-            "NI_F": ("v_newInfectiousF", "v_newInfectiousM"),
-            "NS_F": ("v_newInfectiousF", "v_newInfectiousM"),
-            "NI_M": ("v_newInfectiousF", "v_newInfectiousM"),
-            "NS_M": ("v_newInfectiousF", "v_newInfectiousM"),
-        },
-    )
+def seir_typed(ts: StockFlowDiagram | None = None) -> TypedDiagram:
+    return _typed("seir_typed", ts)
 
 
-# Component maps below are written against the type-system part orders:
-# F: deaths=1 births=2 newInfectious=3 firstOrderDelay=4 aging=5
-# V: same kinds in the same order; SV: N=1 NI=2 NS=3
-# I: births=1 newInfectious=2 firstOrderDelay=3 aging=4
-# O: deaths=1 newInfectious=2 firstOrderDelay=3 aging=4
-# LV: deaths=1 newInfectious=2 firstOrderDelay=3 aging=4
-# LS: NS=1 NI=2 N=3; LSV: N>births=1 NI>newInfectious=2 NS>newInfectious=3
-
-def seir_typed(ts: SystemStructureDiagram | None = None) -> TypedDiagram:
-    return make_typed(
-        seir_structure(),
-        ts or type_system(),
-        {
-            "S": [1, 1, 1, 1],
-            "SV": [1, 3, 2],
-            "LS": [3, 1, 3, 1, 3, 1, 2, 3, 1],
-            "F": [2, 3, 4, 4, 1, 1, 1, 1, 5, 5, 5, 5],
-            "I": [1, 4, 2, 4, 3, 4, 3, 4],
-            "O": [2, 1, 4, 3, 1, 4, 3, 1, 4, 1, 4],
-            "V": [2, 3, 4, 4, 1, 1, 1, 1, 5, 5, 5, 5],
-            "LV": [2, 1, 4, 3, 1, 4, 2, 3, 1, 4, 1, 4],
-            "LSV": [1, 3, 2],
-        },
-    )
+def sis_typed(ts: StockFlowDiagram | None = None) -> TypedDiagram:
+    """SIS structure with identity flows; recovery is a first-order delay
+    back into S."""
+    return _typed("sis_typed", ts)
 
 
-def sis_typed(ts: SystemStructureDiagram | None = None) -> TypedDiagram:
-    return make_typed(
-        sis_structure(),
-        ts or type_system(),
-        {
-            "S": [1, 1],
-            "SV": [1, 2, 3],
-            "LS": [3, 1, 3, 1, 2],
-            "F": [2, 1, 1, 3, 4, 5, 5],
-            "I": [1, 4, 3, 2, 4],
-            "O": [1, 4, 2, 1, 4, 3],
-            "V": [2, 1, 1, 3, 4, 5, 5],
-            "LV": [1, 4, 2, 1, 4, 3],
-            "LSV": [1, 2, 3],
-        },
-    )
+def age_strata_typed(ts: StockFlowDiagram | None = None) -> TypedDiagram:
+    return _typed("age_typed", ts)
 
 
-def age_strata_typed(ts: SystemStructureDiagram | None = None) -> TypedDiagram:
-    return make_typed(
-        age_strata_structure(),
-        ts or type_system(),
-        {
-            "S": [1, 1, 1],
-            "SV": [1, 2, 3, 2, 3, 2, 3],
-            "LS": [2, 1, 3, 2, 1, 3, 2, 1, 3],
-            "F": [2, 3, 3, 3, 4, 4, 4, 5, 5, 1, 1, 1],
-            "I": [1, 2, 3, 4, 2, 3, 4, 2, 3],
-            "O": [1, 2, 4, 3, 1, 2, 4, 3, 1, 2, 3],
-            "V": [2, 3, 3, 3, 4, 4, 4, 5, 5, 1, 1, 1],
-            "LV": [1, 2, 4, 3, 1, 2, 4, 3, 1, 2, 3],
-            "LSV": [1, 2, 2, 2, 3, 3, 3, 2, 2, 2, 3, 3, 3, 2, 2, 2, 3, 3, 3],
-        },
-    )
+def sex_strata_typed(ts: StockFlowDiagram | None = None) -> TypedDiagram:
+    """Two sexes."""
+    return _typed("sex_typed", ts)
 
 
-def sex_strata_typed(ts: SystemStructureDiagram | None = None) -> TypedDiagram:
-    return make_typed(
-        sex_strata_structure(),
-        ts or type_system(),
-        {
-            "S": [1, 1],
-            "SV": [1, 2, 3, 2, 3],
-            "LS": [2, 1, 3, 2, 1, 3],
-            "F": [2, 2, 3, 3, 4, 4, 1, 1],
-            "I": [1, 2, 3, 1, 2, 3],
-            "O": [1, 2, 3, 1, 2, 3],
-            "V": [2, 2, 3, 3, 4, 4, 1, 1],
-            "LV": [1, 2, 3, 1, 2, 3],
-            "LSV": [1, 1, 2, 2, 3, 3, 2, 2, 3, 3],
-        },
-    )
+def sex_strata_with_aging_typed(ts: StockFlowDiagram | None = None) -> TypedDiagram:
+    """Two sexes with a self-loop aging flow per stock, so the model can join
+    age-stratified pullbacks."""
+    return _typed("sex_aging_typed", ts)
 
 
-def sex_strata_with_aging_typed(ts: SystemStructureDiagram | None = None) -> TypedDiagram:
-    return make_typed(
-        sex_strata_structure(with_aging=True),
-        ts or type_system(),
-        {
-            "S": [1, 1],
-            "SV": [1, 2, 3, 2, 3],
-            "LS": [2, 1, 3, 2, 1, 3],
-            "F": [2, 2, 3, 3, 4, 4, 1, 1, 5, 5],
-            "I": [1, 2, 3, 4, 1, 2, 3, 4],
-            "O": [1, 2, 3, 4, 1, 2, 3, 4],
-            "V": [2, 2, 3, 3, 4, 4, 1, 1, 5, 5],
-            "LV": [1, 2, 3, 4, 1, 2, 3, 4],
-            "LSV": [1, 1, 2, 2, 3, 3, 2, 2, 3, 3],
-        },
-    )
+def sis_sex() -> StockFlowDiagram:
+    """The sex-stratified SIS: the pullback of ``sis_typed`` and
+    ``sex_strata_typed``, flattened, with formulas attached."""
+    return _diagram("sis_sex", "sis_sex")
 
 
 def sis_sex_expressions() -> dict[str, str]:
     """Formulas for the sex-stratified SIS (names as produced by the
     pullback: concatenated component names)."""
-    return {
-        "v_birthsv_birthsF": "muF*NN",
-        "v_birthsv_birthsM": "muM*NN",
-        "v_newInfectiousv_newInfectiousF": "betaF*SF*(ff*NINI_F/NSNS_F+fm*NINI_M/NSNS_M)",
-        "v_newInfectiousv_newInfectiousM": "betaM*SM*(mf*NINI_F/NSNS_F+mm*NINI_M/NSNS_M)",
-        "v_newRecoveryv_idF": "IF/trecoveryF",
-        "v_newRecoveryv_idM": "IM/trecoveryM",
-        "v_deathSv_deathsF": "SF*deltaF",
-        "v_deathIv_deathsF": "IF*deltaF",
-        "v_deathSv_deathsM": "SM*deltaM",
-        "v_deathIv_deathsM": "IM*deltaM",
-    }
+    return load("sis_sex").models["sis_sex"].expressions
 
 
 def sis_sex_parameters() -> dict[str, float]:
-    return {
-        "betaF": 0.5,
-        "betaM": 0.6,
-        "muM": 0.0,
-        "muF": 0.03 / 365 / 2.0,
-        "deltaM": 0.05 / 365 / 2.0,
-        "deltaF": 0.01 / 365 / 2.0,
-        "trecoveryM": 5.0,
-        "trecoveryF": 5.0,
-        "ff": 0.5,
-        "fm": 0.5,
-        "mf": 0.5,
-        "mm": 0.5,
-    }
+    return load("sis_sex").parameters["sis_sex"]
 
 
 def sis_sex_initial() -> dict[str, float]:
-    return {"SM": 5400.0, "SF": 4600.0, "IM": 10.0, "IF": 1.0}
-
-
-def sis_sex() -> StockFlowDiagram:
-    """The full sex-stratified SIS: pull back, flatten, attach formulas."""
-    from .diagrams import attach_dynamics, flatten_names
-    from .stratify import stratify
-
-    ts = type_system()
-    structure = flatten_names(stratify(sis_typed(ts), sex_strata_typed(ts)))
-    return attach_dynamics(structure, sis_sex_expressions())
-
-
-def bundles() -> "dict[str, object]":
-    """The shipped example bundles, keyed by file stem (see models/)."""
-    from . import bundle as bundle_io
-    from .bundle import ModelBundle
-
-    ts = type_system()
-
-    def typed_bundle(model_name: str, typed) -> ModelBundle:
-        return ModelBundle(
-            models={
-                model_name: bundle_io.diagram_to_model(typed.diagram),
-                "s_type": bundle_io.diagram_to_model(typed.type_system),
-            },
-            typings={
-                f"t_{model_name}": bundle_io.typing_to_def(model_name, "s_type", typed)
-            },
-        )
-
-    seirv = ModelBundle(
-        models={
-            "seir": bundle_io.diagram_to_model(seir()),
-            "sve": bundle_io.diagram_to_model(sve()),
-        },
-        feet={
-            name: bundle_io.foot_to_def(ft)
-            for name, ft in zip(("footS", "footE", "footI"), seirv_feet())
-        },
-        wiring={
-            "seirv": bundle_io.pattern_to_def(
-                seirv_pattern(),
-                ["seir", "sve"],
-                [["footS", "footE", "footI"], ["footS", "footE", "footI"]],
-            )
-        },
-        parameters={"seirv": seirv_parameters()},
-        initial={"seirv": seirv_initial()},
-    )
-    return {
-        "seir": ModelBundle(
-            models={"seir": bundle_io.diagram_to_model(seir())},
-            parameters={"measles": measles_parameters()},
-            initial={"measles": measles_initial()},
-        ),
-        "sis": ModelBundle(
-            models={"sis": bundle_io.diagram_to_model(sis())},
-            parameters={"sis": {"beta": 0.5, "trecovery": 5.0}},
-            initial={"sis": {"S": 990.0, "I": 10.0}},
-        ),
-        "seirv": seirv,
-        "s_type": ModelBundle(models={"s_type": bundle_io.diagram_to_model(ts)}),
-        "seir_typed": typed_bundle("seir_structure", seir_typed(ts)),
-        "sis_typed": typed_bundle("sis_structure", sis_typed(ts)),
-        "age_typed": typed_bundle("age_strata", age_strata_typed(ts)),
-        "sex_typed": typed_bundle("sex_strata", sex_strata_typed(ts)),
-        "sex_aging_typed": typed_bundle("sex_strata_aging", sex_strata_with_aging_typed(ts)),
-        "sis_sex": ModelBundle(
-            models={"sis_sex": bundle_io.diagram_to_model(sis_sex())},
-            parameters={"sis_sex": sis_sex_parameters()},
-            initial={"sis_sex": sis_sex_initial()},
-        ),
-    }
-
-
-def write_bundles(directory: str) -> list[str]:
-    """Write every example bundle as <directory>/<name>.json."""
-    from pathlib import Path
-
-    from . import bundle as bundle_io
-
-    outdir = Path(directory)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, b in bundles().items():
-        path = outdir / f"{name}.json"
-        path.write_text(bundle_io.emit_json(b), encoding="utf-8", newline="\n")
-        written.append(str(path))
-    return written
-
-
-if __name__ == "__main__":
-    import sys
-
-    for path in write_bundles(sys.argv[1] if len(sys.argv) > 1 else "models"):
-        print(path)
+    return load("sis_sex").initial["sis_sex"]

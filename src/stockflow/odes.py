@@ -37,7 +37,8 @@ class Trajectory:
 
 
 def sumvar_values(d: StockFlowDiagram, u: Mapping[str, float]) -> dict[str, float]:
-    """Each sum variable as the sum of the stocks linked to it."""
+    """Each sum variable as the sum of the stocks linked to it; formulas
+    play no role, so a bare structure works too."""
     inst = d.inst
     stocks = d.stocks
     out: dict[str, float] = {}
@@ -52,9 +53,12 @@ def sumvar_values(d: StockFlowDiagram, u: Mapping[str, float]) -> dict[str, floa
 def vectorfield(d: StockFlowDiagram, p: Mapping[str, float]) -> Evaluator:
     """Compile the diagram into ``f(u, t) -> du`` under parameters `p`.
 
-    Raises up front on identifiers that are neither linked quantities,
-    parameters nor ``t``, and on names shadowing each other.
+    Raises up front on a bare structure (no formulas), on identifiers that
+    are neither linked quantities, parameters nor ``t``, and on names
+    shadowing each other.
     """
+    if d.expressions is None:
+        raise OdeError("diagram has no formulas; attach them with attach_dynamics")
     inst = d.inst
     stocks = d.stocks
     sums = d.sum_variables

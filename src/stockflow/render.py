@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .acset import incident, subpart
-from .diagrams import StockFlowDiagram, SystemStructureDiagram, _flatten
+from .diagrams import StockFlowDiagram, _flatten
 from .odes import Trajectory
 from .stratify import TypedDiagram
 from .views import CausalLoopGraph
@@ -36,7 +36,7 @@ def _attrs(**kwargs: str) -> str:
 
 
 def _emit_diagram(
-    d: StockFlowDiagram | SystemStructureDiagram,
+    d: StockFlowDiagram,
     stock_fill,
     sum_fill,
     var_color,
@@ -88,7 +88,7 @@ def _emit_diagram(
     return "\n".join(lines) + "\n"
 
 
-def emit_dot(d: StockFlowDiagram | SystemStructureDiagram) -> str:
+def emit_dot(d: StockFlowDiagram) -> str:
     return _emit_diagram(
         d,
         stock_fill=lambda i: "lightblue",

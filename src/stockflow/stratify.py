@@ -18,19 +18,19 @@ from .acset import (
     naturality_failures,
     pullback,
 )
-from .diagrams import DiagramError, SystemStructureDiagram
+from .diagrams import DiagramError, StockFlowDiagram, duplicate_names
 
 
 @dataclass
 class TypedDiagram:
-    diagram: SystemStructureDiagram
-    type_system: SystemStructureDiagram
+    diagram: StockFlowDiagram
+    type_system: StockFlowDiagram
     typing: Homomorphism  # diagram -> type system; names play no role
 
 
 def make_typed(
-    d: SystemStructureDiagram,
-    type_system: SystemStructureDiagram,
+    d: StockFlowDiagram,
+    type_system: StockFlowDiagram,
     components: Mapping[str, Sequence[int]],
 ) -> TypedDiagram:
     """Check the per-object assignment and wrap it; rejects non-natural maps
@@ -44,9 +44,9 @@ def make_typed(
     return TypedDiagram(d, type_system, typing)
 
 
-def stratify(*typed: TypedDiagram) -> SystemStructureDiagram:
+def stratify(*typed: TypedDiagram) -> StockFlowDiagram:
     """The fiber product of two or more typed diagrams, with concatenated
-    element names."""
+    element names; raises DiagramError if two elements end up sharing one."""
     return typed_stratify(*typed).diagram
 
 
@@ -64,9 +64,16 @@ def typed_stratify(*typed: TypedDiagram) -> TypedDiagram:
     for other in typed[1:]:
         result = pullback(acc.typing, other.typing)
         acc = TypedDiagram(
-            SystemStructureDiagram(result.apex),
+            StockFlowDiagram(result.apex),
             first.type_system,
             compose_hom(result.leg1, acc.typing),
         )
     assert is_natural(acc.typing)
+    dupes = duplicate_names(acc.diagram.inst)
+    if dupes:
+        # Pullback names concatenate without a separator, so distinct pairs
+        # such as S+Child and SC+hild can meet.
+        raise DiagramError(
+            f"stratification yields duplicate {dupes[0]} name(s): {', '.join(dupes[1])}"
+        )
     return acc

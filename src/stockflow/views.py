@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .acset import Instance, add_part, empty_instance, incident, set_subpart, subpart
-from .diagrams import StockFlowDiagram, SystemStructureDiagram
+from .diagrams import StockFlowDiagram
 from .schema import schema_causalloop
 
 
@@ -35,7 +35,7 @@ class CausalLoopGraph:
         return [(names[s - 1], names[t - 1]) for s, t in self.edges]
 
 
-def to_causal_loop(d: StockFlowDiagram | SystemStructureDiagram) -> CausalLoopGraph:
+def to_causal_loop(d: StockFlowDiagram) -> CausalLoopGraph:
     """Node order: stocks, sum variables, auxiliary variables.  Edge order:
     stock-to-variable links, sum links, sum-to-variable links, inflows,
     outflows.  A variable node borrows its flow's name when exactly one flow

@@ -6,7 +6,9 @@ from stockflow import bundle as bio
 from stockflow import models
 from stockflow.acset import canonical_sort
 from stockflow.bundle import BundleError, ModelBundle
+from stockflow.diagrams import attach_dynamics, flatten_names
 from stockflow.odes import vectorfield
+from stockflow.stratify import stratify
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -24,11 +26,27 @@ def test_emission_is_deterministic():
         assert bio.emit_json(b) == bio.emit_json(b)
 
 
-def test_shipped_files_are_current():
-    for name, b in models.bundles().items():
-        path = MODELS_DIR / f"{name}.json"
-        assert path.exists(), f"models/{name}.json missing; run python3 -m stockflow.models"
-        assert path.read_text(encoding="utf-8") == bio.emit_json(b), path
+def test_shipped_files_are_canonical():
+    # models/*.json is the source of truth, so hand edits must stay canonical.
+    paths = sorted(MODELS_DIR.glob("*.json"))
+    assert len(paths) == 10
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert bio.emit_json(bio.parse_json(text)) == text, path
+
+
+def test_sis_sex_file_is_the_stratified_sis():
+    ts = models.type_system()
+    structure = flatten_names(stratify(models.sis_typed(ts), models.sex_strata_typed(ts)))
+    derived = attach_dynamics(structure, models.sis_sex_expressions())
+    assert bio.diagram_to_model(derived) == models.load("sis_sex").models["sis_sex"]
+
+
+def test_missing_models_dir_names_the_path(monkeypatch, tmp_path):
+    monkeypatch.setattr(models, "MODELS_DIR", tmp_path / "nowhere")
+    with pytest.raises(FileNotFoundError) as err:
+        models.seir()
+    assert str(tmp_path / "nowhere" / "seir.json") in str(err.value)
 
 
 def test_half_edge_flows_round_trip():

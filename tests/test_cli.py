@@ -5,16 +5,19 @@ import pytest
 
 from stockflow import bundle as bio
 from stockflow import models
+from stockflow.bundle import ModelBundle
 from stockflow.cli import run
+from stockflow.diagrams import build_system_structure
 from stockflow.render import parse_csv
+from stockflow.stratify import make_typed
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
 
 @pytest.fixture()
-def bundles_dir(tmp_path):
-    models.write_bundles(str(tmp_path / "models"))
-    return tmp_path / "models"
+def bundles_dir():
+    # Read-only inputs; every test writes its outputs under tmp_path.
+    return MODELS_DIR
 
 
 def _b(bundles_dir, name):
@@ -157,6 +160,28 @@ def test_stratify_type_mismatch(bundles_dir, tmp_path):
         "--out", str(tmp_path / "x.json"),
     ])
     assert code == 2
+
+
+def test_stratify_name_clash_is_exit_3(bundles_dir, tmp_path, capsys):
+    ts = models.type_system()
+    paths = []
+    for name, stocks in (("agg", ["S", "SC"]), ("strata", ["Child", "hild"])):
+        d = build_system_structure({s: (None, None, None, None) for s in stocks}, {})
+        typed = make_typed(d, ts, {"S": [1] * len(stocks)})
+        b = ModelBundle(
+            models={name: bio.diagram_to_model(d), "s_type": bio.diagram_to_model(ts)},
+            typings={f"t_{name}": bio.typing_to_def(name, "s_type", typed)},
+        )
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(bio.emit_json(b))
+    out = tmp_path / "out.json"
+    code = run([
+        "stratify", "--aggregate", str(paths[0]), "--strata", str(paths[1]),
+        "--type", _b(bundles_dir, "s_type"), "--out", str(out),
+    ])
+    assert code == 3
+    assert "SChild" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_graph_plain_and_typed(bundles_dir, tmp_path):

@@ -8,6 +8,7 @@ from stockflow.diagrams import (
     build_stockflow,
     foot,
     open_diagram,
+    to_system_structure,
 )
 from stockflow.odes import vectorfield
 
@@ -139,6 +140,14 @@ def test_duplicate_unglued_names_are_rejected():
     with pytest.raises(DiagramError) as err:
         oapply(pattern, [open_diagram(a, []), open_diagram(a, [])])
     assert "duplicate" in str(err.value)
+
+
+def test_bare_structures_are_rejected():
+    feet = models.seirv_feet()
+    opens = [open_diagram(to_system_structure(models.seir()), feet), open_diagram(models.sve(), feet)]
+    with pytest.raises(DiagramError) as err:
+        oapply(models.seirv_pattern(), opens)
+    assert "no formulas" in str(err.value)
 
 
 def test_self_gluing_merges_within_one_box():

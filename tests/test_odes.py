@@ -4,7 +4,7 @@ import random
 import pytest
 
 from stockflow import models
-from stockflow.diagrams import build_stockflow
+from stockflow.diagrams import build_stockflow, to_system_structure
 from stockflow.odes import (
     OdeError,
     integrate_adaptive,
@@ -59,6 +59,8 @@ def test_sumvar_values_measles():
     d = models.seir()
     u0 = models.measles_initial()
     assert sumvar_values(d, u0) == {"N": 89070.0 + 0.0 + 930.0 + 773545.0}
+    # sums need no formulas, so the bare structure gives the same values
+    assert sumvar_values(to_system_structure(d), u0) == sumvar_values(d, u0)
 
 
 def test_sumvar_zero_links_and_disjoint_sums():
@@ -110,6 +112,13 @@ def test_vectorfield_rejects_bad_bindings():
     f = vectorfield(d, models.measles_parameters())
     with pytest.raises(OdeError):
         f({"S": 1.0}, 0.0)  # missing stocks
+
+
+def test_vectorfield_rejects_bare_structure():
+    bare = to_system_structure(models.seir())
+    with pytest.raises(OdeError) as err:
+        vectorfield(bare, models.measles_parameters())
+    assert "no formulas" in str(err.value)
 
 
 def test_division_by_zero_sum_names_the_variable():

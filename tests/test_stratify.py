@@ -4,7 +4,7 @@ import pytest
 
 from stockflow import models
 from stockflow.acset import compose_hom, is_natural, validate_instance
-from stockflow.diagrams import DiagramError, attach_dynamics, flatten_names
+from stockflow.diagrams import DiagramError, attach_dynamics, build_system_structure, flatten_names
 from stockflow.odes import integrate_adaptive, vectorfield
 from stockflow.stratify import make_typed, stratify, typed_stratify
 
@@ -171,6 +171,19 @@ def test_mismatched_type_systems_are_rejected():
         stratify(a, ident)
     with pytest.raises(DiagramError):
         stratify(a)
+
+
+def test_concatenated_name_clash_is_rejected():
+    # S+Child and SC+hild both concatenate to SChild.
+    ts = models.type_system()
+
+    def stocks_only(names):
+        d = build_system_structure({n: (None, None, None, None) for n in names}, {})
+        return make_typed(d, ts, {"S": [1] * len(names)})
+
+    with pytest.raises(DiagramError) as err:
+        typed_stratify(stocks_only(["S", "SC"]), stocks_only(["Child", "hild"]))
+    assert "stock" in str(err.value) and "SChild" in str(err.value)
 
 
 def test_sis_sex_pipeline_names_and_solve():
