@@ -12,6 +12,8 @@ and the matched product used for stratification (:func:`pullback`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import Hashable, Iterable
 
 from .schema import SchemaDef
 
@@ -66,9 +68,8 @@ def add_part(inst: Instance, obj: str, name: str = "") -> int:
     if obj not in inst.schema.objects:
         raise AcsetError(f"unknown object: {obj!r}")
     inst.n[obj] += 1
-    for m, dom, _ in inst.schema.morphisms:
-        if dom == obj:
-            inst.columns[m].append(None)
+    for m, _, _ in inst.schema.morphisms_from(obj):
+        inst.columns[m].append(None)
     attr = inst.schema.name_attribute_of(obj)
     if attr is not None:
         inst.names[attr].append(name)
@@ -100,6 +101,15 @@ def incident(inst: Instance, morphism: str, value: int) -> list[int]:
     if not 1 <= value <= inst.n[cod]:
         raise AcsetError(f"{morphism}: value {value} out of range for {cod}")
     return [i + 1 for i, v in enumerate(inst.columns[morphism]) if v == value]
+
+
+def preimages(column: Iterable[Hashable]) -> dict[Hashable, list[int]]:
+    """Each value of `column` mapped to the 1-based positions holding it,
+    ascending: ``incident`` for every value at once, in one pass."""
+    out: dict[Hashable, list[int]] = {}
+    for i, value in enumerate(column, start=1):
+        out.setdefault(value, []).append(i)
+    return out
 
 
 def validate_instance(inst: Instance) -> list[str]:
@@ -238,16 +248,22 @@ def pushout_quotient(
         if p.schema != schema:
             raise AcsetError("pushout_quotient: parts over different schemas")
 
-    offsets: dict[str, list[int]] = {obj: [] for obj in schema.objects}
-    totals: dict[str, int] = {}
-    for obj in schema.objects:
-        acc = 0
-        for p in parts:
-            offsets[obj].append(acc)
-            acc += p.n[obj]
-        totals[obj] = acc
+    # Disjoint union: part i's elements of `obj` occupy global positions
+    # offsets[obj][i] .. offsets[obj][i + 1] - 1, and each morphism becomes
+    # one global column (None where a part leaves its column unset).
+    offsets = {
+        obj: list(accumulate((p.n[obj] for p in parts), initial=0)) for obj in schema.objects
+    }
+    glob = {
+        m: [
+            None if v is None else off + v - 1
+            for p, off in zip(parts, offsets[cod])
+            for v in p.columns[m]
+        ]
+        for m, _, cod in schema.morphisms
+    }
 
-    uf = {obj: _UnionFind(totals[obj]) for obj in schema.objects}
+    uf = {obj: _UnionFind(offsets[obj][-1]) for obj in schema.objects}
     for part_a, obj, elem_a, part_b, elem_b in identifications:
         if obj not in schema.objects:
             raise AcsetError(f"identification on unknown object {obj!r}")
@@ -261,22 +277,13 @@ def pushout_quotient(
             offsets[obj][part_b] + elem_b - 1,
         )
 
-    def global_image(m: str, dom: str, cod: str, g: int) -> int | None:
-        part_i = 0
-        while part_i + 1 < len(parts) and offsets[dom][part_i + 1] <= g:
-            part_i += 1
-        local = g - offsets[dom][part_i]
-        v = parts[part_i].columns[m][local]
-        return None if v is None else offsets[cod][part_i] + v - 1
-
     # Close the merge relation under the morphisms so columns are single-valued.
     changed = True
     while changed:
         changed = False
         for m, dom, cod in schema.morphisms:
             image_root: dict[int, int] = {}
-            for g in range(totals[dom]):
-                img = global_image(m, dom, cod, g)
+            for g, img in enumerate(glob[m]):
                 if img is None:
                     continue
                 root = uf[dom].find(g)
@@ -288,43 +295,37 @@ def pushout_quotient(
                 else:
                     image_root[root] = img_root
 
-    reps: dict[str, list[int]] = {}
-    index_of_root: dict[str, dict[int, int]] = {}
-    for obj in schema.objects:
-        roots = sorted({uf[obj].find(g) for g in range(totals[obj])})
-        reps[obj] = roots
-        index_of_root[obj] = {r: k + 1 for k, r in enumerate(roots)}
-
+    # Number the classes 1.. in order of their smallest member, which is also
+    # their union-find root; cls[obj][g] is the class of global element g.
     out = empty_instance(schema)
+    cls: dict[str, list[int]] = {}
     for obj in schema.objects:
+        number: dict[int, int] = {}
+        cls[obj] = [
+            number.setdefault(uf[obj].find(g), len(number) + 1) for g in range(offsets[obj][-1])
+        ]
+        out.n[obj] = len(number)
         attr = schema.name_attribute_of(obj)
-        out.n[obj] = len(reps[obj])
         if attr is not None:
-            merged_names: dict[int, list[str]] = {r: [] for r in reps[obj]}
-            for part_i, p in enumerate(parts):
-                for local in range(p.n[obj]):
-                    g = offsets[obj][part_i] + local
-                    merged_names[uf[obj].find(g)].append(p.names[attr][local])
-            out.names[attr] = [min(merged_names[r]) for r in reps[obj]]
+            merged: list[list[str]] = [[] for _ in range(out.n[obj])]
+            for k, name in zip(cls[obj], (nm for p in parts for nm in p.names[attr])):
+                merged[k - 1].append(name)
+            out.names[attr] = [min(names) for names in merged]
     for m, dom, cod in schema.morphisms:
         col: list[int | None] = [None] * out.n[dom]
-        for g in range(totals[dom]):
-            img = global_image(m, dom, cod, g)
-            if img is None:
-                continue
-            col[index_of_root[dom][uf[dom].find(g)] - 1] = index_of_root[cod][uf[cod].find(img)]
+        for k, img in zip(cls[dom], glob[m]):
+            if img is not None:
+                col[k - 1] = cls[cod][img]
         out.columns[m] = col
 
-    injections = []
-    for part_i, p in enumerate(parts):
-        comps = {
-            obj: [
-                index_of_root[obj][uf[obj].find(offsets[obj][part_i] + local)]
-                for local in range(p.n[obj])
-            ]
-            for obj in schema.objects
-        }
-        injections.append(Homomorphism(p, out, comps))
+    injections = [
+        Homomorphism(
+            p,
+            out,
+            {obj: cls[obj][offsets[obj][i] : offsets[obj][i + 1]] for obj in schema.objects},
+        )
+        for i, p in enumerate(parts)
+    ]
     return out, injections
 
 
@@ -350,11 +351,11 @@ def pullback(left: Homomorphism, right: Homomorphism) -> PullbackResult:
     pairs: dict[str, list[tuple[int, int]]] = {}
     pair_index: dict[str, dict[tuple[int, int], int]] = {}
     for obj in schema.objects:
+        right_rows = preimages(right.components[obj])
         lst = [
             (i, j)
-            for i in range(1, left.source.n[obj] + 1)
-            for j in range(1, right.source.n[obj] + 1)
-            if left.components[obj][i - 1] == right.components[obj][j - 1]
+            for i, x in enumerate(left.components[obj], start=1)
+            for j in right_rows.get(x, [])
         ]
         pairs[obj] = lst
         pair_index[obj] = {p: k + 1 for k, p in enumerate(lst)}
@@ -411,13 +412,10 @@ def canonical_sort(inst: Instance) -> Instance:
     }
 
     def remapped_row(obj: str, old: int) -> tuple:
-        row = []
-        for m, dom, cod in inst.schema.morphisms:
-            if dom != obj:
-                continue
-            v = inst.columns[m][old - 1]
-            row.append(None if v is None else new_index[cod][v])
-        return tuple(row)
+        return tuple(
+            None if (v := inst.columns[m][old - 1]) is None else new_index[cod][v]
+            for m, _, cod in inst.schema.morphisms_from(obj)
+        )
 
     # Order unnamed tables by their (already remapped) foreign keys.
     for obj in inst.schema.objects:

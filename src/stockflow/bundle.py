@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .acset import subpart
+from .acset import preimages
 from .compose import Box, WiringPattern
 from .diagrams import (
     DiagramError,
@@ -19,8 +19,6 @@ from .diagrams import (
     StockFlowDiagram,
     build_system_structure,
     foot as make_foot,
-    upstream,
-    downstream,
 )
 from .expressions import ExpressionError, format_expression, parse_expression
 from .stratify import TypedDiagram, make_typed
@@ -100,37 +98,31 @@ def diagram_to_model(d: StockFlowDiagram) -> ModelDef:
     """Normal form of a diagram: inflow/outflow rows become per-flow
     upstream/downstream fields (well defined by injectivity)."""
     inst = d.inst
-    flows = []
-    for f_idx, f_name in enumerate(inst.names_of("F"), start=1):
-        flows.append(
-            FlowDef(
-                name=f_name,
-                variable=inst.name_of("V", subpart(inst, "fv", f_idx)),
-                upstream=upstream(d, f_name),
-                downstream=downstream(d, f_name),
-            )
+    cols = inst.columns
+    stocks, variables, sums = inst.names_of("S"), inst.names_of("V"), inst.names_of("SV")
+    upstream_of = {f: stocks[s - 1] for f, s in zip(cols["ofn"], cols["os"])}
+    downstream_of = {f: stocks[s - 1] for f, s in zip(cols["ifn"], cols["is"])}
+    flows = [
+        FlowDef(
+            name=f_name,
+            variable=variables[v - 1],
+            upstream=upstream_of.get(f_idx),
+            downstream=downstream_of.get(f_idx),
         )
+        for f_idx, (f_name, v) in enumerate(zip(inst.names_of("F"), cols["fv"]), start=1)
+    ]
     expressions = {}
     if d.expressions is not None:
         expressions = {v: format_expression(e) for v, e in d.expressions.items()}
     return ModelDef(
-        stocks=inst.names_of("S"),
+        stocks=stocks,
         flows=flows,
-        variables=inst.names_of("V"),
+        variables=variables,
         expressions=expressions,
-        sum_variables=inst.names_of("SV"),
-        stock_variable_links=[
-            (inst.name_of("S", subpart(inst, "lvs", r)), inst.name_of("V", subpart(inst, "lvv", r)))
-            for r in range(1, inst.n["LV"] + 1)
-        ],
-        stock_sum_links=[
-            (inst.name_of("S", subpart(inst, "lss", r)), inst.name_of("SV", subpart(inst, "lssv", r)))
-            for r in range(1, inst.n["LS"] + 1)
-        ],
-        sum_variable_links=[
-            (inst.name_of("SV", subpart(inst, "lsvsv", r)), inst.name_of("V", subpart(inst, "lsvv", r)))
-            for r in range(1, inst.n["LSV"] + 1)
-        ],
+        sum_variables=sums,
+        stock_variable_links=[(stocks[s - 1], variables[v - 1]) for s, v in zip(cols["lvs"], cols["lvv"])],
+        stock_sum_links=[(stocks[s - 1], sums[sv - 1]) for s, sv in zip(cols["lss"], cols["lssv"])],
+        sum_variable_links=[(sums[sv - 1], variables[v - 1]) for sv, v in zip(cols["lsvsv"], cols["lsvv"])],
     )
 
 
@@ -201,11 +193,11 @@ def def_to_pattern(pd: PatternDef) -> WiringPattern:
 
 def typing_to_def(name_model: str, name_type: str, t: TypedDiagram) -> TypingDef:
     src, dst = t.diagram.inst, t.type_system.inst
+
     def table(obj: str) -> dict[str, str]:
-        return {
-            src.name_of(obj, i): dst.name_of(obj, t.typing.apply(obj, i))
-            for i in range(1, src.n[obj] + 1)
-        }
+        images = dst.names_of(obj)
+        return dict(zip(src.names_of(obj), (images[j - 1] for j in t.typing.components[obj])))
+
     return TypingDef(
         model=name_model,
         type_model=name_type,
@@ -227,12 +219,18 @@ def def_to_typing(
     src, dst = model.inst, type_model.inst
 
     def named(obj: str, table: dict[str, str]) -> list[int]:
+        rows = preimages(dst.names_of(obj))
         out = []
-        for i in range(1, src.n[obj] + 1):
-            name = src.name_of(obj, i)
+        for name in src.names_of(obj):
             if name not in table:
                 raise BundleError(f"typing {td.model!r}: no image for {obj} {name!r}")
-            out.append(dst.index_of(obj, table[name]))
+            hits = rows.get(table[name], [])
+            if len(hits) != 1:
+                raise BundleError(
+                    f"typing {td.model!r}: image {table[name]!r} of {obj} {name!r} "
+                    f"names {len(hits)} type elements"
+                )
+            out.append(hits[0])
         return out
 
     comps: dict[str, list[int]] = {
@@ -242,17 +240,11 @@ def def_to_typing(
         "SV": named("SV", td.sum_variables),
     }
 
-    def forced(obj: str, legs: list[tuple[str, str]]) -> list[int]:
+    def forced(obj: str, m1: str, cod1: str, m2: str, cod2: str) -> list[int]:
+        rows = preimages(zip(dst.columns[m1], dst.columns[m2]))
         out = []
-        for i in range(1, src.n[obj] + 1):
-            want = tuple(
-                comps[cod][subpart(src, m, i) - 1] for m, cod in legs
-            )
-            hits = [
-                j
-                for j in range(1, dst.n[obj] + 1)
-                if tuple(subpart(dst, m, j) for m, _ in legs) == want
-            ]
+        for i, (a, b) in enumerate(zip(src.columns[m1], src.columns[m2]), start=1):
+            hits = rows.get((comps[cod1][a - 1], comps[cod2][b - 1]), [])
             if len(hits) != 1:
                 raise BundleError(
                     f"typing {td.model!r}: {obj} row {i} resolves to {len(hits)} candidates"
@@ -260,11 +252,11 @@ def def_to_typing(
             out.append(hits[0])
         return out
 
-    comps["I"] = forced("I", [("is", "S"), ("ifn", "F")])
-    comps["O"] = forced("O", [("os", "S"), ("ofn", "F")])
-    comps["LV"] = forced("LV", [("lvs", "S"), ("lvv", "V")])
-    comps["LS"] = forced("LS", [("lss", "S"), ("lssv", "SV")])
-    comps["LSV"] = forced("LSV", [("lsvsv", "SV"), ("lsvv", "V")])
+    comps["I"] = forced("I", "is", "S", "ifn", "F")
+    comps["O"] = forced("O", "os", "S", "ofn", "F")
+    comps["LV"] = forced("LV", "lvs", "S", "lvv", "V")
+    comps["LS"] = forced("LS", "lss", "S", "lssv", "SV")
+    comps["LSV"] = forced("LSV", "lsvsv", "SV", "lsvv", "V")
     try:
         return make_typed(model, type_model, comps)
     except DiagramError as exc:

@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from . import bundle as bundle_io
-from .acset import validate_instance
 from .bundle import BundleError, ModelBundle
 from .compose import oapply
 from .diagrams import DiagramError, flatten_names, open_diagram, to_system_structure
@@ -94,11 +93,9 @@ def _cmd_validate(args) -> int:
     problems: list[str] = []
     for name, md in b.models.items():
         try:
-            d = _build_model(b, name, md, need_formulas=False)
+            _build_model(b, name, md, need_formulas=False)
         except CliError as exc:
             problems.append(str(exc))
-            continue
-        problems += [f"model {name!r}: {v}" for v in validate_instance(d.inst)]
     for name, fd in b.feet.items():
         try:
             bundle_io.def_to_foot(fd)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .acset import Homomorphism, pushout_quotient, subpart
+from .acset import Homomorphism, pushout_quotient
 from .diagrams import (
     DiagramError,
     Foot,
@@ -54,14 +54,12 @@ def apex(open_diag: OpenStockFlow) -> StockFlowDiagram:
 def _foot_shape(ft: Foot) -> tuple[list[int], list[int], list[tuple[int, int]], list[int]]:
     """Name-sorted element orders plus the link pattern in sorted coordinates."""
     inst = ft.inst
-    s_order = sorted(range(1, inst.n["S"] + 1), key=lambda i: (inst.name_of("S", i), i))
-    sv_order = sorted(range(1, inst.n["SV"] + 1), key=lambda i: (inst.name_of("SV", i), i))
+    s_names, sv_names = inst.names_of("S"), inst.names_of("SV")
+    s_order = sorted(range(1, inst.n["S"] + 1), key=lambda i: (s_names[i - 1], i))
+    sv_order = sorted(range(1, inst.n["SV"] + 1), key=lambda i: (sv_names[i - 1], i))
     s_pos = {e: k for k, e in enumerate(s_order)}
     sv_pos = {e: k for k, e in enumerate(sv_order)}
-    link_keys = [
-        (s_pos[subpart(inst, "lss", row)], sv_pos[subpart(inst, "lssv", row)])
-        for row in range(1, inst.n["LS"] + 1)
-    ]
+    link_keys = [(s_pos[s], sv_pos[sv]) for s, sv in zip(inst.columns["lss"], inst.columns["lssv"])]
     ls_order = sorted(range(1, inst.n["LS"] + 1), key=lambda row: (link_keys[row - 1], row))
     return s_order, sv_order, sorted(link_keys), ls_order
 
@@ -128,8 +126,8 @@ def oapply(pattern: WiringPattern, opens: list[OpenStockFlow]) -> OpenStockFlow:
     expressions: dict[str, object] = {}
     glued_vars = glued.names_of("V")
     for open_diag, inj in zip(opens, injections):
-        for v_idx, v_name in enumerate(open_diag.apex.variables, start=1):
-            expressions[glued_vars[inj.apply("V", v_idx) - 1]] = open_diag.apex.expressions[v_name]
+        for v_name, g in zip(open_diag.apex.variables, inj.components["V"]):
+            expressions[glued_vars[g - 1]] = open_diag.apex.expressions[v_name]
     composed = StockFlowDiagram(glued, expressions)
 
     target = interface_part(glued)

@@ -25,6 +25,7 @@ from .acset import (
     add_part,
     empty_instance,
     incident,
+    preimages,
     set_subpart,
     subpart,
     validate_instance,
@@ -220,21 +221,19 @@ def attach_dynamics(
     if extra:
         raise DiagramError(f"formula for unknown variable(s): {', '.join(extra)}")
 
-    stocks = set(structure.stocks)
-    sums = set(structure.sum_variables)
-    for v_idx, v_name in enumerate(var_names, start=1):
-        linked_stocks = {
-            inst.name_of("S", subpart(inst, "lvs", row))
-            for row in incident(inst, "lvv", v_idx)
-        }
-        linked_sums = {
-            inst.name_of("SV", subpart(inst, "lsvsv", row))
-            for row in incident(inst, "lsvv", v_idx)
-        }
+    stock_names, sum_names = structure.stocks, structure.sum_variables
+    stocks, sums = set(stock_names), set(sum_names)
+    linked_stocks: list[set[str]] = [set() for _ in var_names]
+    for s, v in zip(inst.columns["lvs"], inst.columns["lvv"]):
+        linked_stocks[v - 1].add(stock_names[s - 1])
+    linked_sums: list[set[str]] = [set() for _ in var_names]
+    for sv, v in zip(inst.columns["lsvsv"], inst.columns["lsvv"]):
+        linked_sums[v - 1].add(sum_names[sv - 1])
+    for v_name, var_stocks, var_sums in zip(var_names, linked_stocks, linked_sums):
         for ident in sorted(identifiers(compiled[v_name])):
-            if ident in stocks and ident not in linked_stocks:
+            if ident in stocks and ident not in var_stocks:
                 raise DiagramError(f"variable {v_name!r} uses stock {ident!r} without a link")
-            if ident in sums and ident not in linked_sums:
+            if ident in sums and ident not in var_sums:
                 raise DiagramError(f"variable {v_name!r} uses sum variable {ident!r} without a link")
     return StockFlowDiagram(inst, {v: compiled[v] for v in var_names})
 
@@ -311,37 +310,28 @@ def interface_part(inst: Instance) -> Instance:
 def open_diagram(d: StockFlowDiagram, feet: Sequence[Foot]) -> OpenStockFlow:
     """Attach feet to a diagram, inferring each leg by unique name matching."""
     target = interface_part(d.inst)
+    named = {obj: preimages(d.inst.names_of(obj)) for obj in ("S", "SV")}
+    links = preimages(zip(target.columns["lss"], target.columns["lssv"]))
     legs = []
     for ft in feet:
-        comps: dict[str, list[int]] = {"S": [], "SV": [], "LS": []}
-        for name in ft.inst.names_of("S"):
-            comps["S"].append(_unique_named(d.inst, "S", name))
-        for name in ft.inst.names_of("SV"):
-            comps["SV"].append(_unique_named(d.inst, "SV", name))
-        for row in range(1, ft.inst.n["LS"] + 1):
-            s_img = comps["S"][subpart(ft.inst, "lss", row) - 1]
-            sv_img = comps["SV"][subpart(ft.inst, "lssv", row) - 1]
-            hits = [
-                ls
-                for ls in incident(d.inst, "lss", s_img)
-                if subpart(d.inst, "lssv", ls) == sv_img
-            ]
+        comps: dict[str, list[int]] = {"LS": []}
+        for obj, kind in (("S", "stock"), ("SV", "sum variable")):
+            comps[obj] = []
+            for name in ft.inst.names_of(obj):
+                hits = named[obj].get(name, [])
+                if len(hits) != 1:
+                    raise DiagramError(f"foot {kind} {name!r} matches {len(hits)} apex elements")
+                comps[obj].append(hits[0])
+        for s, sv in zip(ft.inst.columns["lss"], ft.inst.columns["lssv"]):
+            hits = links.get((comps["S"][s - 1], comps["SV"][sv - 1]), [])
             if len(hits) != 1:
                 raise DiagramError(
-                    f"foot link {ft.inst.name_of('S', subpart(ft.inst, 'lss', row))!r} -> "
-                    f"{ft.inst.name_of('SV', subpart(ft.inst, 'lssv', row))!r} matches {len(hits)} links"
+                    f"foot link {ft.inst.name_of('S', s)!r} -> "
+                    f"{ft.inst.name_of('SV', sv)!r} matches {len(hits)} links"
                 )
             comps["LS"].append(hits[0])
         legs.append(Homomorphism(ft.inst, target, comps))
     return OpenStockFlow(d, list(feet), legs)
-
-
-def _unique_named(inst: Instance, obj: str, name: str) -> int:
-    hits = [i + 1 for i, nm in enumerate(inst.names_of(obj)) if nm == name]
-    if len(hits) != 1:
-        kind = {"S": "stock", "SV": "sum variable"}.get(obj, obj)
-        raise DiagramError(f"foot {kind} {name!r} matches {len(hits)} apex elements")
-    return hits[0]
 
 
 def upstream(d: StockFlowDiagram, flow: str) -> str | None:

@@ -199,7 +199,20 @@ def compile_expression(expr: Expression) -> Callable[[Mapping[str, float]], floa
             return left(env) / denom
         return divide
     if op == "^":
-        return lambda env: left(env) ** right(env)
+        def power(env: Mapping[str, float]) -> float:
+            base, exponent = left(env), right(env)
+            try:
+                value = base ** exponent
+            except OverflowError:
+                reason = "overflows a double"
+            except ZeroDivisionError:
+                reason = "raises zero to a negative power"
+            else:
+                if not isinstance(value, complex):
+                    return value
+                reason = "has a complex value"
+            raise EvalError(f"({base!r})^({exponent!r}) {reason}")
+        return power
     raise ExpressionError(f"unknown operator {op!r}")
 
 

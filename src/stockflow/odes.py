@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .acset import incident, subpart
 from .diagrams import StockFlowDiagram
 from .expressions import EvalError, compile_expression, identifiers
 
@@ -39,15 +38,12 @@ class Trajectory:
 def sumvar_values(d: StockFlowDiagram, u: Mapping[str, float]) -> dict[str, float]:
     """Each sum variable as the sum of the stocks linked to it; formulas
     play no role, so a bare structure works too."""
-    inst = d.inst
+    cols = d.inst.columns
     stocks = d.stocks
-    out: dict[str, float] = {}
-    for sv_idx, sv_name in enumerate(d.sum_variables, start=1):
-        total = 0.0
-        for row in incident(inst, "lssv", sv_idx):
-            total += u[stocks[subpart(inst, "lss", row) - 1]]
-        out[sv_name] = total
-    return out
+    totals = [0.0] * d.inst.n["SV"]
+    for s, sv in zip(cols["lss"], cols["lssv"]):
+        totals[sv - 1] += u[stocks[s - 1]]
+    return dict(zip(d.sum_variables, totals))
 
 
 def vectorfield(d: StockFlowDiagram, p: Mapping[str, float]) -> Evaluator:
@@ -59,7 +55,6 @@ def vectorfield(d: StockFlowDiagram, p: Mapping[str, float]) -> Evaluator:
     """
     if d.expressions is None:
         raise OdeError("diagram has no formulas; attach them with attach_dynamics")
-    inst = d.inst
     stocks = d.stocks
     sums = d.sum_variables
     var_names = d.variables
@@ -82,18 +77,17 @@ def vectorfield(d: StockFlowDiagram, p: Mapping[str, float]) -> Evaluator:
             raise OdeError(f"variable {v_name!r} uses unbound identifier(s): {', '.join(sorted(unknown))}")
 
     compiled = [(name, compile_expression(d.expressions[name])) for name in var_names]
-    sum_links = [
-        [stocks[subpart(inst, "lss", row) - 1] for row in incident(inst, "lssv", sv_idx)]
-        for sv_idx in range(1, len(sums) + 1)
-    ]
+    cols = d.inst.columns
+    sum_links: list[list[str]] = [[] for _ in sums]
+    for s, sv in zip(cols["lss"], cols["lssv"]):
+        sum_links[sv - 1].append(stocks[s - 1])
+    fv = cols["fv"]
     inflow_vars = {s: [] for s in stocks}
-    for row in range(1, inst.n["I"] + 1):
-        stock = stocks[subpart(inst, "is", row) - 1]
-        inflow_vars[stock].append(var_names[subpart(inst, "fv", subpart(inst, "ifn", row)) - 1])
+    for s, f in zip(cols["is"], cols["ifn"]):
+        inflow_vars[stocks[s - 1]].append(var_names[fv[f - 1] - 1])
     outflow_vars = {s: [] for s in stocks}
-    for row in range(1, inst.n["O"] + 1):
-        stock = stocks[subpart(inst, "os", row) - 1]
-        outflow_vars[stock].append(var_names[subpart(inst, "fv", subpart(inst, "ofn", row)) - 1])
+    for s, f in zip(cols["os"], cols["ofn"]):
+        outflow_vars[stocks[s - 1]].append(var_names[fv[f - 1] - 1])
 
     base_env = dict(p)
 
@@ -118,6 +112,13 @@ def vectorfield(d: StockFlowDiagram, p: Mapping[str, float]) -> Evaluator:
         }
 
     return f
+
+
+def _check_stocks(du: StateVector, names: list[str]) -> None:
+    """Reject initial-state keys the first RHS result has no stock for."""
+    extra = [s for s in names if s not in du]
+    if extra:
+        raise OdeError(f"initial state has key(s) that are not stocks: {', '.join(extra)}")
 
 
 def _check_finite(u: StateVector, t: float) -> None:
@@ -152,6 +153,8 @@ def integrate_fixed(
     t = t0
     for k in range(steps):
         k1 = f(u, t)
+        if k == 0:
+            _check_stocks(k1, names)
         k2 = f({s: u[s] + 0.5 * h * k1[s] for s in names}, t + 0.5 * h)
         k3 = f({s: u[s] + 0.5 * h * k2[s] for s in names}, t + 0.5 * h)
         k4 = f({s: u[s] + h * k3[s] for s in names}, t + h)
@@ -207,6 +210,7 @@ def integrate_adaptive(
     times = [t0]
     states = [dict(u)]
     k_first = f(u, t)
+    _check_stocks(k_first, names)
     err_prev = 1.0
     steps = 0
     while t < t1:

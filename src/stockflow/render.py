@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .acset import incident, subpart
+from .acset import preimages
 from .diagrams import StockFlowDiagram, _flatten
 from .odes import Trajectory
 from .stratify import TypedDiagram
@@ -58,32 +58,29 @@ def _emit_diagram(
         lines.append(
             f"  v{i}" + _attrs(label=_flatten(name), shape="plaintext", fontcolor=var_color(i))
         )
+    cols = inst.columns
+    upstream_of = dict(zip(cols["ofn"], cols["os"]))
+    downstream_of = dict(zip(cols["ifn"], cols["is"]))
     clouds = 0
-    for f_idx, f_name in enumerate(inst.names_of("F"), start=1):
-        v = subpart(inst, "fv", f_idx)
+    for f_idx, (f_name, v) in enumerate(zip(inst.names_of("F"), cols["fv"]), start=1):
         color = flow_color(f_idx)
-        ups = incident(inst, "ofn", f_idx)
-        downs = incident(inst, "ifn", f_idx)
-        if ups:
-            head = f"s{subpart(inst, 'os', ups[0])}"
+        if f_idx in upstream_of:
+            head = f"s{upstream_of[f_idx]}"
         else:
             clouds += 1
             head = f"cloud{clouds}"
             lines.append(f"  {head}" + _attrs(label="", shape="point", color=color))
-        if downs:
-            tail = f"s{subpart(inst, 'is', downs[0])}"
+        if f_idx in downstream_of:
+            tail = f"s{downstream_of[f_idx]}"
         else:
             clouds += 1
             tail = f"cloud{clouds}"
             lines.append(f"  {tail}" + _attrs(label="", shape="point", color=color))
         lines.append(f"  {head} -> v{v}" + _attrs(arrowhead="none", color=color))
         lines.append(f"  v{v} -> {tail}" + _attrs(label=_flatten(f_name), labelfontsize="6", color=color))
-    for r in range(1, inst.n["LV"] + 1):
-        lines.append(f"  s{subpart(inst, 'lvs', r)} -> v{subpart(inst, 'lvv', r)};")
-    for r in range(1, inst.n["LS"] + 1):
-        lines.append(f"  s{subpart(inst, 'lss', r)} -> sv{subpart(inst, 'lssv', r)};")
-    for r in range(1, inst.n["LSV"] + 1):
-        lines.append(f"  sv{subpart(inst, 'lsvsv', r)} -> v{subpart(inst, 'lsvv', r)};")
+    lines += [f"  s{s} -> v{v};" for s, v in zip(cols["lvs"], cols["lvv"])]
+    lines += [f"  s{s} -> sv{sv};" for s, sv in zip(cols["lss"], cols["lssv"])]
+    lines += [f"  sv{sv} -> v{v};" for sv, v in zip(cols["lsvsv"], cols["lsvv"])]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -112,8 +109,10 @@ def emit_dot_typed(
         if kinds.n[obj] > len(palette):
             raise RenderError(f"palette for {obj} has {len(palette)} colours, need {kinds.n[obj]}")
 
+    rate_users = preimages(inst.columns["fv"])
+
     def var_color(i: int) -> str:
-        flows = incident(inst, "fv", i)
+        flows = rate_users.get(i, [])
         if len(flows) != 1:
             return "black"
         return flow_colors[t.typing.apply("F", flows[0]) - 1]

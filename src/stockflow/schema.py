@@ -35,21 +35,27 @@ class SchemaDef:
         for attr, carrier in self.name_attributes:
             if carrier not in objs:
                 raise ValueError(f"attribute {attr!r} references unknown object")
+        # Lookup maps, built once; the dataclass is frozen, hence __setattr__.
+        # The first attribute listed for a carrier is its name attribute.
+        object.__setattr__(self, "_morphism", {m[0]: m for m in self.morphisms})
+        object.__setattr__(self, "_morphisms_from", {
+            obj: tuple(m for m in self.morphisms if m[1] == obj) for obj in self.objects
+        })
+        object.__setattr__(self, "_name_attribute", {
+            carrier: attr for attr, carrier in reversed(self.name_attributes)
+        })
 
     def morphism(self, name: str) -> tuple[str, str, str]:
-        for m in self.morphisms:
-            if m[0] == name:
-                return m
-        raise KeyError(f"unknown morphism: {name!r}")
+        try:
+            return self._morphism[name]
+        except KeyError:
+            raise KeyError(f"unknown morphism: {name!r}") from None
 
-    def morphisms_from(self, obj: str) -> list[tuple[str, str, str]]:
-        return [m for m in self.morphisms if m[1] == obj]
+    def morphisms_from(self, obj: str) -> tuple[tuple[str, str, str], ...]:
+        return self._morphisms_from.get(obj, ())
 
     def name_attribute_of(self, obj: str) -> str | None:
-        for attr, carrier in self.name_attributes:
-            if carrier == obj:
-                return attr
-        return None
+        return self._name_attribute.get(obj)
 
 
 def schema_stockflow() -> SchemaDef:

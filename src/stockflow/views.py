@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .acset import Instance, add_part, empty_instance, incident, set_subpart, subpart
+from .acset import Instance, preimages
 from .diagrams import StockFlowDiagram
 from .schema import schema_causalloop
 
@@ -24,10 +24,7 @@ class CausalLoopGraph:
 
     @property
     def edges(self) -> list[tuple[int, int]]:
-        return [
-            (subpart(self.inst, "s", e), subpart(self.inst, "t", e))
-            for e in range(1, self.inst.n["E"] + 1)
-        ]
+        return list(zip(self.inst.columns["s"], self.inst.columns["t"]))
 
     @property
     def edge_labels(self) -> list[tuple[str, str]]:
@@ -41,31 +38,30 @@ def to_causal_loop(d: StockFlowDiagram) -> CausalLoopGraph:
     outflows.  A variable node borrows its flow's name when exactly one flow
     has that rate variable."""
     src = d.inst
-    out = empty_instance(schema_causalloop())
-
-    stock_node = [add_part(out, "N", name) for name in src.names_of("S")]
-    sum_node = [add_part(out, "N", name) for name in src.names_of("SV")]
-    var_node = []
-    for v_idx, v_name in enumerate(src.names_of("V"), start=1):
-        flows = incident(src, "fv", v_idx)
-        label = src.name_of("F", flows[0]) if len(flows) == 1 else v_name
-        var_node.append(add_part(out, "N", label))
-
-    def edge(s: int, t: int) -> None:
-        e = add_part(out, "E")
-        set_subpart(out, "s", e, s)
-        set_subpart(out, "t", e, t)
-
-    for row in range(1, src.n["LV"] + 1):
-        edge(stock_node[subpart(src, "lvs", row) - 1], var_node[subpart(src, "lvv", row) - 1])
-    for row in range(1, src.n["LS"] + 1):
-        edge(stock_node[subpart(src, "lss", row) - 1], sum_node[subpart(src, "lssv", row) - 1])
-    for row in range(1, src.n["LSV"] + 1):
-        edge(sum_node[subpart(src, "lsvsv", row) - 1], var_node[subpart(src, "lsvv", row) - 1])
-    for row in range(1, src.n["I"] + 1):
-        flow = subpart(src, "ifn", row)
-        edge(var_node[subpart(src, "fv", flow) - 1], stock_node[subpart(src, "is", row) - 1])
-    for row in range(1, src.n["O"] + 1):
-        flow = subpart(src, "ofn", row)
-        edge(stock_node[subpart(src, "os", row) - 1], var_node[subpart(src, "fv", flow) - 1])
+    cols = src.columns
+    fv = cols["fv"]
+    rate_users = preimages(fv)
+    flow_names = src.names_of("F")
+    var_labels = []
+    for v, v_name in enumerate(src.names_of("V"), start=1):
+        flows = rate_users.get(v, [])
+        var_labels.append(flow_names[flows[0] - 1] if len(flows) == 1 else v_name)
+    nodes = src.names_of("S") + src.names_of("SV") + var_labels
+    # Nodes are stocks, then sum variables, then variables: sum variable sv
+    # is node sv0 + sv and variable v is node v0 + v.
+    sv0 = src.n["S"]
+    v0 = sv0 + src.n["SV"]
+    edges = (
+        [(s, v0 + v) for s, v in zip(cols["lvs"], cols["lvv"])]
+        + [(s, sv0 + sv) for s, sv in zip(cols["lss"], cols["lssv"])]
+        + [(sv0 + sv, v0 + v) for sv, v in zip(cols["lsvsv"], cols["lsvv"])]
+        + [(v0 + fv[f - 1], s) for s, f in zip(cols["is"], cols["ifn"])]
+        + [(s, v0 + fv[f - 1]) for s, f in zip(cols["os"], cols["ofn"])]
+    )
+    out = Instance(
+        schema_causalloop(),
+        n={"N": len(nodes), "E": len(edges)},
+        columns={"s": [s for s, _ in edges], "t": [t for _, t in edges]},
+        names={"nname": nodes},
+    )
     return CausalLoopGraph(out)

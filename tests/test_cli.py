@@ -249,3 +249,56 @@ def test_shipped_stratified_bundle_simulates(tmp_path):
 def test_shipped_bundles_validate():
     for path in sorted(MODELS_DIR.glob("*.json")):
         assert run(["validate", str(path)]) == 0, path
+
+
+@pytest.mark.parametrize(
+    "formula",
+    ["(0-I)^0.5", "I^400", "I*0^(0-1)"],
+    ids=["complex", "overflow", "zero-to-negative-power"],
+)
+def test_numeric_errors_in_formulas_are_exit_3(bundles_dir, tmp_path, capsys, formula):
+    doc = json.loads(Path(_b(bundles_dir, "sis")).read_text())
+    for var in doc["models"]["sis"]["variables"]:
+        if var["name"] == "v_rec":
+            var["expression"] = formula
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps(doc))
+    code = run(["simulate", str(path), "--t0", "0", "--t1", "10", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "v_rec" in err and "Traceback" not in err
+
+
+def _seir_typed_doc(bundles_dir):
+    return json.loads(Path(_b(bundles_dir, "seir_typed")).read_text())
+
+
+def _link_without_type_row(doc):
+    # s_type has no (Pop, v_births) stock-variable link to type this row by.
+    doc["models"]["seir_structure"]["stock_variable_links"].append(["S", "v_birth"])
+
+
+def _parallel_type_links(doc):
+    doc["models"]["s_type"]["sum_variable_links"].append(["N", "v_births"])
+
+
+def _unknown_type_name(doc):
+    doc["typings"]["t_seir_structure"]["flows"]["birth"] = "NOPE"
+
+
+@pytest.mark.parametrize(
+    "mutate, expected",
+    [
+        (_link_without_type_row, "LV row 4 resolves to 0 candidates"),
+        (_parallel_type_links, "LSV row 1 resolves to 2 candidates"),
+        (_unknown_type_name, "'NOPE' of F 'birth' names 0 type elements"),
+    ],
+    ids=["no-candidate", "two-candidates", "unknown-type-name"],
+)
+def test_validate_rejects_unresolvable_typings(bundles_dir, tmp_path, capsys, mutate, expected):
+    doc = _seir_typed_doc(bundles_dir)
+    mutate(doc)
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 2
+    assert expected in capsys.readouterr().out

@@ -307,6 +307,17 @@ def test_dp45_step_underflow():
         integrate_adaptive(f, {"u": 1.0}, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("integrate", [
+    lambda f, u0: integrate_fixed(f, u0, 0.0, 1.0, 0.1),
+    lambda f, u0: integrate_adaptive(f, u0, 0.0, 1.0),
+], ids=["rk4", "dp45"])
+def test_initial_state_keys_must_be_stocks(integrate):
+    f = vectorfield(models.seir(), models.measles_parameters())
+    u0 = dict(models.measles_initial(), X=1.0)
+    with pytest.raises(OdeError, match="not stocks: X"):
+        integrate(f, u0)
+
+
 def test_dp45_tolerance_validation():
     f = lambda u, t: {"u": 0.0}
     with pytest.raises(OdeError):
