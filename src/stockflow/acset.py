@@ -120,6 +120,8 @@ def validate_instance(inst: Instance) -> list[str]:
         if len(col) != inst.n[dom]:
             out.append(f"column {m}: length {len(col)} != |{dom}| = {inst.n[dom]}")
             continue
+        if None not in col and (not col or 1 <= min(col) and max(col) <= inst.n[cod]):
+            continue  # the whole column is in range; otherwise name each bad element
         for i, v in enumerate(col, start=1):
             if v is None:
                 out.append(f"column {m}: element {i} is unset")
@@ -131,6 +133,8 @@ def validate_instance(inst: Instance) -> list[str]:
     # Each flow may feed at most one downstream and one upstream stock.
     for m in ("ifn", "ofn"):
         if any(mm[0] == m for mm in inst.schema.morphisms):
+            if len(set(inst.columns[m])) == len(inst.columns[m]):
+                continue
             seen: dict[int, int] = {}
             for i, v in enumerate(inst.columns[m], start=1):
                 if v is None:

@@ -20,7 +20,27 @@ from .diagrams import (
     build_system_structure,
     foot as make_foot,
 )
-from .expressions import ExpressionError, format_expression, parse_expression
+from .expressions import Expression, ExpressionError, format_expression, parse_expression
+from .jsontext import (
+    NL,
+    ShapeError,
+    array,
+    array_at,
+    columns,
+    mapping,
+    number,
+    number_fields,
+    number_map,
+    pair_array,
+    pairs,
+    quote,
+    string,
+    string_array,
+    string_fields,
+    string_map,
+    strings,
+    write_object,
+)
 from .stratify import TypedDiagram, make_typed
 
 FORMAT = "stockflow-bundle"
@@ -44,7 +64,7 @@ class ModelDef:
     stocks: list[str]
     flows: list[FlowDef]
     variables: list[str]
-    expressions: dict[str, str]  # empty for bare structures
+    expressions: dict[str, Expression]  # parsed formulas; empty for bare structures
     sum_variables: list[str]
     stock_variable_links: list[tuple[str, str]]
     stock_sum_links: list[tuple[str, str]]
@@ -111,14 +131,11 @@ def diagram_to_model(d: StockFlowDiagram) -> ModelDef:
         )
         for f_idx, (f_name, v) in enumerate(zip(inst.names_of("F"), cols["fv"]), start=1)
     ]
-    expressions = {}
-    if d.expressions is not None:
-        expressions = {v: format_expression(e) for v, e in d.expressions.items()}
     return ModelDef(
         stocks=stocks,
         flows=flows,
         variables=variables,
-        expressions=expressions,
+        expressions={} if d.expressions is None else dict(d.expressions),
         sum_variables=sums,
         stock_variable_links=[(stocks[s - 1], variables[v - 1]) for s, v in zip(cols["lvs"], cols["lvv"])],
         stock_sum_links=[(stocks[s - 1], sums[sv - 1]) for s, sv in zip(cols["lss"], cols["lssv"])],
@@ -127,38 +144,36 @@ def diagram_to_model(d: StockFlowDiagram) -> ModelDef:
 
 
 def model_to_structure(m: ModelDef) -> StockFlowDiagram:
-    stocks: dict[str, list] = {s: [[], [], [], []] for s in m.stocks}
-    for fd in m.flows:
-        if fd.downstream is not None:
-            _stock_slot(stocks, fd.downstream, 0, m).append(fd.name)
-        if fd.upstream is not None:
-            _stock_slot(stocks, fd.upstream, 1, m).append(fd.name)
-    for s, v in m.stock_variable_links:
-        _stock_slot(stocks, s, 2, m).append(v)
+    stocks: dict[str, tuple[list, list, list, list]] = {s: ([], [], [], []) for s in m.stocks}
     sums: dict[str, list[str]] = {sv: [] for sv in m.sum_variables}
-    for s, sv in m.stock_sum_links:
-        if sv not in sums:
-            raise BundleError(f"stock-sum link references unknown sum variable {sv!r}")
-        _stock_slot(stocks, s, 3, m).append(sv)
+    try:
+        for fd in m.flows:
+            if fd.downstream is not None:
+                stocks[fd.downstream][0].append(fd.name)
+            if fd.upstream is not None:
+                stocks[fd.upstream][1].append(fd.name)
+        for s, v in m.stock_variable_links:
+            stocks[s][2].append(v)
+        for s, sv in m.stock_sum_links:
+            if sv not in sums:
+                raise BundleError(f"stock-sum link references unknown sum variable {sv!r}")
+            stocks[s][3].append(sv)
+    except KeyError as exc:
+        raise BundleError(f"reference to unknown stock {exc.args[0]!r}") from None
     for sv, v in m.sum_variable_links:
         if sv not in sums:
             raise BundleError(f"sum-variable link references unknown sum variable {sv!r}")
         sums[sv].append(v)
     try:
+        # Lists, not the dicts above, so a repeated name is reported.
         return build_system_structure(
-            {s: tuple(slots) for s, slots in stocks.items()},
-            {fd.name: fd.variable for fd in m.flows},
-            sums,
+            [(s, stocks[s]) for s in m.stocks],
+            [(fd.name, fd.variable) for fd in m.flows],
+            [(sv, sums[sv]) for sv in m.sum_variables],
             variable_order=m.variables,
         )
     except DiagramError as exc:
         raise BundleError(str(exc)) from exc
-
-
-def _stock_slot(stocks: dict, name: str, slot: int, m: ModelDef) -> list:
-    if name not in stocks:
-        raise BundleError(f"reference to unknown stock {name!r}")
-    return stocks[name][slot]
 
 
 def model_to_diagram(m: ModelDef) -> StockFlowDiagram:
@@ -166,9 +181,7 @@ def model_to_diagram(m: ModelDef) -> StockFlowDiagram:
         raise BundleError("model has no formulas; it is a bare structure")
     structure = model_to_structure(m)
     try:
-        return StockFlowDiagram(
-            structure.inst, {v: parse_expression(m.expressions[v]) for v in m.variables}
-        )
+        return StockFlowDiagram(structure.inst, {v: m.expressions[v] for v in m.variables})
     except KeyError as exc:
         raise BundleError(f"missing formula for variable {exc.args[0]!r}") from exc
 
@@ -215,7 +228,7 @@ def def_to_typing(
 ) -> TypedDiagram:
     """Rebuild a typed diagram from the four name tables; the link and
     inflow/outflow components are forced by commutation and must resolve
-    uniquely."""
+    uniquely.  Errors do not name the typing; the caller knows its name."""
     src, dst = model.inst, type_model.inst
 
     def named(obj: str, table: dict[str, str]) -> list[int]:
@@ -223,13 +236,10 @@ def def_to_typing(
         out = []
         for name in src.names_of(obj):
             if name not in table:
-                raise BundleError(f"typing {td.model!r}: no image for {obj} {name!r}")
+                raise BundleError(f"no image for {obj} {name!r}")
             hits = rows.get(table[name], [])
             if len(hits) != 1:
-                raise BundleError(
-                    f"typing {td.model!r}: image {table[name]!r} of {obj} {name!r} "
-                    f"names {len(hits)} type elements"
-                )
+                raise BundleError(f"image {table[name]!r} of {obj} {name!r} names {len(hits)} type elements")
             out.append(hits[0])
         return out
 
@@ -246,9 +256,7 @@ def def_to_typing(
         for i, (a, b) in enumerate(zip(src.columns[m1], src.columns[m2]), start=1):
             hits = rows.get((comps[cod1][a - 1], comps[cod2][b - 1]), [])
             if len(hits) != 1:
-                raise BundleError(
-                    f"typing {td.model!r}: {obj} row {i} resolves to {len(hits)} candidates"
-                )
+                raise BundleError(f"{obj} row {i} resolves to {len(hits)} candidates")
             out.append(hits[0])
         return out
 
@@ -260,65 +268,85 @@ def def_to_typing(
     try:
         return make_typed(model, type_model, comps)
     except DiagramError as exc:
-        raise BundleError(f"typing {td.model!r}: {exc}") from exc
+        raise BundleError(str(exc)) from exc
 
 
 # --- JSON text --------------------------------------------------------------
 
 def emit_json(bundle: ModelBundle) -> str:
-    doc = {
-        "format": FORMAT,
-        "version": VERSION,
-        "models": {
-            name: {
-                "stocks": m.stocks,
-                "flows": [
-                    {
-                        "name": fd.name,
-                        "variable": fd.variable,
-                        **({"upstream": fd.upstream} if fd.upstream is not None else {}),
-                        **({"downstream": fd.downstream} if fd.downstream is not None else {}),
-                    }
-                    for fd in m.flows
-                ],
-                "variables": [
-                    {"name": v, **({"expression": m.expressions[v]} if v in m.expressions else {})}
-                    for v in m.variables
-                ],
-                "sum_variables": m.sum_variables,
-                "stock_variable_links": [list(x) for x in m.stock_variable_links],
-                "stock_sum_links": [list(x) for x in m.stock_sum_links],
-                "sum_variable_links": [list(x) for x in m.sum_variable_links],
-            }
-            for name, m in bundle.models.items()
-        },
-        "feet": {
-            name: {"stock": f.stock, "sum_variable": f.sum_variable, "links": [list(x) for x in f.links]}
+    out: list[str] = []
+    write_object(out, [
+        ("format", quote(FORMAT)),
+        ("version", number(VERSION)),
+        ("models", [(name, _model_fields(m)) for name, m in bundle.models.items()]),
+        ("feet", [
+            (name, [
+                ("stock", quote(f.stock)),
+                ("sum_variable", quote(f.sum_variable)),
+                ("links", pair_array(f.links, 4)),
+            ])
             for name, f in bundle.feet.items()
-        },
-        "wiring": {
-            name: {
-                "junctions": p.junctions,
-                "boxes": [{"model": b.model, "feet": b.feet, "ports": b.ports} for b in p.boxes],
-                "outer_ports": p.outer_ports,
-            }
+        ]),
+        ("wiring", [
+            (name, [
+                ("junctions", string_array(p.junctions, 4)),
+                ("boxes", _box_array(p.boxes)),
+                ("outer_ports", string_array(p.outer_ports, 4)),
+            ])
             for name, p in bundle.wiring.items()
-        },
-        "typings": {
-            name: {
-                "model": t.model,
-                "type_model": t.type_model,
-                "stocks": t.stocks,
-                "flows": t.flows,
-                "variables": t.variables,
-                "sum_variables": t.sum_variables,
-            }
+        ]),
+        ("typings", [
+            (name, [
+                ("model", quote(t.model)),
+                ("type_model", quote(t.type_model)),
+                ("stocks", string_fields(t.stocks)),
+                ("flows", string_fields(t.flows)),
+                ("variables", string_fields(t.variables)),
+                ("sum_variables", string_fields(t.sum_variables)),
+            ])
             for name, t in bundle.typings.items()
-        },
-        "parameters": bundle.parameters,
-        "initial": bundle.initial,
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        ]),
+        ("parameters", [(name, number_fields(p)) for name, p in bundle.parameters.items()]),
+        ("initial", [(name, number_fields(u)) for name, u in bundle.initial.items()]),
+    ], 1)
+    out.append("\n")
+    return "".join(out)
+
+
+def _model_fields(m: ModelDef) -> list[tuple[str, str]]:
+    key, close = NL[5], NL[4]
+    flows = []
+    for fd in m.flows:
+        text = f'{{{key}"name": {quote(fd.name)},{key}"variable": {quote(fd.variable)}'
+        if fd.upstream is not None:
+            text += f',{key}"upstream": {quote(fd.upstream)}'
+        if fd.downstream is not None:
+            text += f',{key}"downstream": {quote(fd.downstream)}'
+        flows.append(text + close + "}")
+    variables = []
+    for v in m.variables:
+        text = f'{{{key}"name": {quote(v)}'
+        if v in m.expressions:
+            text += f',{key}"expression": {quote(format_expression(m.expressions[v]))}'
+        variables.append(text + close + "}")
+    return [
+        ("stocks", string_array(m.stocks, 4)),
+        ("flows", array(flows, 4)),
+        ("variables", array(variables, 4)),
+        ("sum_variables", string_array(m.sum_variables, 4)),
+        ("stock_variable_links", pair_array(m.stock_variable_links, 4)),
+        ("stock_sum_links", pair_array(m.stock_sum_links, 4)),
+        ("sum_variable_links", pair_array(m.sum_variable_links, 4)),
+    ]
+
+
+def _box_array(boxes: list[BoxDef]) -> str:
+    key, close = NL[5], NL[4]
+    return array([
+        f'{{{key}"model": {quote(b.model)},{key}"feet": {string_array(b.feet, 6)},'
+        f'{key}"ports": {string_array(b.ports, 6)}{close}}}'
+        for b in boxes
+    ], 4)
 
 
 def parse_json(text: str) -> ModelBundle:
@@ -332,147 +360,73 @@ def parse_json(text: str) -> ModelBundle:
         raise BundleError(f"format: expected {FORMAT!r}, found {doc.get('format')!r}")
     if doc.get("version") != VERSION:
         raise BundleError(f"version: expected {VERSION}, found {doc.get('version')!r}")
+    try:
+        return _read_sections(doc)
+    except ShapeError as exc:
+        raise BundleError(str(exc)) from exc
 
+
+def _read_sections(doc: dict) -> ModelBundle:
     bundle = ModelBundle()
-    for name, raw in _mapping(doc, "models").items():
+    for name, raw in mapping(doc, "models").items():
         path = f"models.{name}"
-        flows = []
-        for k, fr in enumerate(_list(raw, "flows", path)):
-            fpath = f"{path}.flows[{k}]"
-            flows.append(
-                FlowDef(
-                    name=_str(fr, "name", fpath),
-                    variable=_str(fr, "variable", fpath),
-                    upstream=_opt_str(fr, "upstream", fpath),
-                    downstream=_opt_str(fr, "downstream", fpath),
-                )
-            )
-        variables = []
+        flows = list(map(FlowDef, *columns(raw, "flows", path, ("name", "variable"), ("upstream", "downstream"))))
+        variables, formulas = columns(raw, "variables", path, ("name",), ("expression",))
         expressions = {}
-        for k, vr in enumerate(_list(raw, "variables", path)):
-            vpath = f"{path}.variables[{k}]"
-            vname = _str(vr, "name", vpath)
-            variables.append(vname)
-            expr = _opt_str(vr, "expression", vpath)
+        for k, (vname, expr) in enumerate(zip(variables, formulas)):
             if expr is not None:
                 try:
-                    parse_expression(expr)
+                    expressions[vname] = parse_expression(expr)
                 except ExpressionError as exc:
-                    raise BundleError(f"{vpath}.expression: {exc}") from exc
-                expressions[vname] = expr
+                    raise BundleError(f"{path}.variables[{k}].expression: {exc}") from exc
         if expressions and set(expressions) != set(variables):
             raise BundleError(f"{path}: either all variables carry formulas or none do")
         bundle.models[name] = ModelDef(
-            stocks=_str_list(raw, "stocks", path),
+            stocks=strings(raw, "stocks", path),
             flows=flows,
             variables=variables,
             expressions=expressions,
-            sum_variables=_str_list(raw, "sum_variables", path),
-            stock_variable_links=_pairs(raw, "stock_variable_links", path),
-            stock_sum_links=_pairs(raw, "stock_sum_links", path),
-            sum_variable_links=_pairs(raw, "sum_variable_links", path),
+            sum_variables=strings(raw, "sum_variables", path),
+            stock_variable_links=pairs(raw, "stock_variable_links", path),
+            stock_sum_links=pairs(raw, "stock_sum_links", path),
+            sum_variable_links=pairs(raw, "sum_variable_links", path),
         )
-    for name, raw in _mapping(doc, "feet").items():
+    for name, raw in mapping(doc, "feet").items():
         path = f"feet.{name}"
         bundle.feet[name] = FootDef(
-            stock=_str(raw, "stock", path),
-            sum_variable=_str(raw, "sum_variable", path),
-            links=_pairs(raw, "links", path),
+            stock=string(raw, "stock", path),
+            sum_variable=string(raw, "sum_variable", path),
+            links=pairs(raw, "links", path),
         )
-    for name, raw in _mapping(doc, "wiring").items():
+    for name, raw in mapping(doc, "wiring").items():
         path = f"wiring.{name}"
         boxes = []
-        for k, br in enumerate(_list(raw, "boxes", path)):
+        for k, br in enumerate(array_at(raw, "boxes", path)):
             bpath = f"{path}.boxes[{k}]"
             boxes.append(
                 BoxDef(
-                    model=_str(br, "model", bpath),
-                    feet=_str_list(br, "feet", bpath),
-                    ports=_str_list(br, "ports", bpath),
+                    model=string(br, "model", bpath),
+                    feet=strings(br, "feet", bpath),
+                    ports=strings(br, "ports", bpath),
                 )
             )
         bundle.wiring[name] = PatternDef(
-            junctions=_str_list(raw, "junctions", path),
+            junctions=strings(raw, "junctions", path),
             boxes=boxes,
-            outer_ports=_str_list(raw, "outer_ports", path),
+            outer_ports=strings(raw, "outer_ports", path),
         )
-    for name, raw in _mapping(doc, "typings").items():
+    for name, raw in mapping(doc, "typings").items():
         path = f"typings.{name}"
         bundle.typings[name] = TypingDef(
-            model=_str(raw, "model", path),
-            type_model=_str(raw, "type_model", path),
-            stocks=_str_map(raw, "stocks", path),
-            flows=_str_map(raw, "flows", path),
-            variables=_str_map(raw, "variables", path),
-            sum_variables=_str_map(raw, "sum_variables", path),
+            model=string(raw, "model", path),
+            type_model=string(raw, "type_model", path),
+            stocks=string_map(raw, "stocks", path),
+            flows=string_map(raw, "flows", path),
+            variables=string_map(raw, "variables", path),
+            sum_variables=string_map(raw, "sum_variables", path),
         )
-    for name, raw in _mapping(doc, "parameters").items():
-        bundle.parameters[name] = _num_map(raw, f"parameters.{name}")
-    for name, raw in _mapping(doc, "initial").items():
-        bundle.initial[name] = _num_map(raw, f"initial.{name}")
+    for name, raw in mapping(doc, "parameters").items():
+        bundle.parameters[name] = number_map(raw, f"parameters.{name}")
+    for name, raw in mapping(doc, "initial").items():
+        bundle.initial[name] = number_map(raw, f"initial.{name}")
     return bundle
-
-
-def _mapping(doc: dict, key: str) -> dict:
-    value = doc.get(key, {})
-    if not isinstance(value, dict):
-        raise BundleError(f"{key}: expected an object")
-    return value
-
-
-def _list(raw, key: str, path: str) -> list:
-    if not isinstance(raw, dict) or not isinstance(raw.get(key, None), list):
-        raise BundleError(f"{path}.{key}: expected an array")
-    return raw[key]
-
-
-def _str(raw, key: str, path: str) -> str:
-    if not isinstance(raw, dict) or not isinstance(raw.get(key), str):
-        raise BundleError(f"{path}.{key}: expected a string")
-    return raw[key]
-
-
-def _opt_str(raw: dict, key: str, path: str) -> str | None:
-    value = raw.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        raise BundleError(f"{path}.{key}: expected a string")
-    return value
-
-
-def _str_list(raw, key: str, path: str) -> list[str]:
-    value = _list(raw, key, path)
-    if not all(isinstance(x, str) for x in value):
-        raise BundleError(f"{path}.{key}: expected an array of strings")
-    return list(value)
-
-
-def _pairs(raw, key: str, path: str) -> list[tuple[str, str]]:
-    value = _list(raw, key, path)
-    out = []
-    for k, item in enumerate(value):
-        if not (isinstance(item, list) and len(item) == 2 and all(isinstance(x, str) for x in item)):
-            raise BundleError(f"{path}.{key}[{k}]: expected a [source, target] pair")
-        out.append((item[0], item[1]))
-    return out
-
-
-def _str_map(raw, key: str, path: str) -> dict[str, str]:
-    value = raw.get(key, {})
-    if not isinstance(value, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in value.items()
-    ):
-        raise BundleError(f"{path}.{key}: expected an object of strings")
-    return dict(value)
-
-
-def _num_map(raw, path: str) -> dict[str, float]:
-    if not isinstance(raw, dict):
-        raise BundleError(f"{path}: expected an object")
-    out = {}
-    for k, v in raw.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise BundleError(f"{path}.{k}: expected a number")
-        out[k] = float(v)
-    return out

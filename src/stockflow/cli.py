@@ -190,13 +190,16 @@ def _cmd_compose(args) -> int:
 
 def _typed_from_bundle(b: ModelBundle, typing_name: str):
     td = b.typings[typing_name]
+    structures = []
     for ref in (td.model, td.type_model):
         if ref not in b.models:
             raise CliError(f"typing {typing_name!r} references unknown model {ref!r}", EXIT_VALIDATION)
-    model = bundle_io.model_to_structure(b.models[td.model])
-    type_model = bundle_io.model_to_structure(b.models[td.type_model])
+        try:
+            structures.append(bundle_io.model_to_structure(b.models[ref]))
+        except BundleError as exc:
+            raise CliError(f"typing {typing_name!r}: model {ref!r}: {exc}", EXIT_VALIDATION) from exc
     try:
-        return bundle_io.def_to_typing(td, model, type_model)
+        return bundle_io.def_to_typing(td, *structures)
     except BundleError as exc:
         raise CliError(f"typing {typing_name!r}: {exc}", EXIT_VALIDATION) from exc
 

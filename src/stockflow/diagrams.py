@@ -16,8 +16,9 @@ sum-variable links in sum-major order.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, count
 
 from .acset import (
     Homomorphism,
@@ -88,96 +89,104 @@ def _as_names(value) -> list[str]:
     return list(value)
 
 
+def _items(block) -> list[tuple]:
+    return list(block.items() if isinstance(block, Mapping) else block)
+
+
+def _numbering(names: list[str], kind: str) -> dict[str, int]:
+    """Name -> 1-based row; the first repeated name is an error."""
+    index = {name: i for i, name in enumerate(names, start=1)}
+    if len(index) != len(names):
+        seen: set[str] = set()
+        for name in names:
+            if name in seen:
+                raise DiagramError(f"duplicate {kind} {name!r}")
+            seen.add(name)
+    return index
+
+
+def _rows(index: dict[str, int], names: list[str], error: str, stock: str) -> list[int]:
+    try:
+        return [index[name] for name in names]
+    except KeyError as exc:
+        raise DiagramError(error.format(stock=stock, name=exc.args[0])) from None
+
+
+_UNKNOWN_INFLOW = "stock {stock!r} inflow references unknown flow {name!r}"
+_UNKNOWN_OUTFLOW = "stock {stock!r} outflow references unknown flow {name!r}"
+_UNKNOWN_SUM = "stock {stock!r} links unknown sum variable {name!r}"
+
+
 def build_system_structure(
     stocks: Mapping[str, StockSpec] | Sequence[tuple[str, StockSpec]],
     flows: Mapping[str, str] | Sequence[tuple[str, str]],
     sums: Mapping[str, object] | Sequence[tuple[str, object]] = (),
     variable_order: Sequence[str] | None = None,
 ) -> StockFlowDiagram:
-    """Assemble the instance tables from the block layout (no formulas)."""
-    stock_items = list(stocks.items() if isinstance(stocks, Mapping) else stocks)
-    flow_items = list(flows.items() if isinstance(flows, Mapping) else flows)
-    sum_items = list(sums.items() if isinstance(sums, Mapping) else sums)
+    """Assemble the instance tables from the block layout (no formulas).
 
-    inst = empty_instance(schema_stockflow())
-
-    stock_index: dict[str, int] = {}
-    for name, _ in stock_items:
-        if name in stock_index:
-            raise DiagramError(f"duplicate stock {name!r}")
-        stock_index[name] = add_part(inst, "S", name)
-
-    flow_index: dict[str, int] = {}
-    for name, _ in flow_items:
-        if name in flow_index:
-            raise DiagramError(f"duplicate flow {name!r}")
-        flow_index[name] = add_part(inst, "F", name)
-
-    # An explicit order (the formula block) wins; otherwise variables appear
-    # in flow-block order, then any extras from links.
-    var_index: dict[str, int] = {}
-    if variable_order is not None:
-        for var in variable_order:
-            if var in var_index:
-                raise DiagramError(f"duplicate variable {var!r}")
-            var_index[var] = add_part(inst, "V", var)
-    mentioned = [var for _, var in flow_items]
-    mentioned += [var for _, spec in stock_items for var in _as_names(spec[2])]
-    mentioned += [var for _, targets in sum_items for var in _as_names(targets)]
-    for var in mentioned:
-        if var not in var_index:
-            if variable_order is not None:
-                raise DiagramError(f"unknown variable {var!r}")
-            var_index[var] = add_part(inst, "V", var)
-
-    sum_index: dict[str, int] = {}
-    for name, _ in sum_items:
-        if name in sum_index:
-            raise DiagramError(f"duplicate sum variable {name!r}")
-        sum_index[name] = add_part(inst, "SV", name)
-
-    for flow, var in flow_items:
-        set_subpart(inst, "fv", flow_index[flow], var_index[var])
-
-    def flow_of(name: str, context: str) -> int:
-        if name not in flow_index:
-            raise DiagramError(f"{context} references unknown flow {name!r}")
-        return flow_index[name]
-
+    The name lists and foreign-key columns are filled whole and wrapped in
+    one instance; ``validate_instance`` then checks it."""
+    stock_items, flow_items, sum_items = _items(stocks), _items(flows), _items(sums)
+    stock_names = [name for name, _ in stock_items]
+    flow_names = [name for name, _ in flow_items]
+    sum_names = [name for name, _ in sum_items]
+    stock_index = _numbering(stock_names, "stock")
+    flow_index = _numbering(flow_names, "flow")
     for stock, spec in stock_items:
         if len(spec) != 4:
             raise DiagramError(f"stock {stock!r}: expected (inflows, outflows, variables, sums)")
-        inflows, outflows, link_vars, link_sums = spec
-        s = stock_index[stock]
-        for flow in _as_names(inflows):
-            row = add_part(inst, "I")
-            set_subpart(inst, "is", row, s)
-            set_subpart(inst, "ifn", row, flow_of(flow, f"stock {stock!r} inflow"))
-        for flow in _as_names(outflows):
-            row = add_part(inst, "O")
-            set_subpart(inst, "os", row, s)
-            set_subpart(inst, "ofn", row, flow_of(flow, f"stock {stock!r} outflow"))
-        for var in _as_names(link_vars):
-            row = add_part(inst, "LV")
-            set_subpart(inst, "lvs", row, s)
-            set_subpart(inst, "lvv", row, var_index[var])
-        for sv in _as_names(link_sums):
-            if sv not in sum_index:
-                raise DiagramError(f"stock {stock!r} links unknown sum variable {sv!r}")
-            row = add_part(inst, "LS")
-            set_subpart(inst, "lss", row, s)
-            set_subpart(inst, "lssv", row, sum_index[sv])
+    specs = [[_as_names(entry) for entry in spec] for _, spec in stock_items]
+    targets = [_as_names(entry) for _, entry in sum_items]
 
-    for sv, targets in sum_items:
-        for var in _as_names(targets):
-            row = add_part(inst, "LSV")
-            set_subpart(inst, "lsvsv", row, sum_index[sv])
-            set_subpart(inst, "lsvv", row, var_index[var])
+    # An explicit order (the formula block) wins; otherwise variables appear
+    # in flow-block order, then any extras from links.
+    flow_vars = [var for _, var in flow_items]
+    mentioned = chain(
+        flow_vars,
+        chain.from_iterable(spec[2] for spec in specs),
+        chain.from_iterable(targets),
+    )
+    if variable_order is None:
+        var_names = list(dict.fromkeys(mentioned))
+        var_index = {var: i for i, var in enumerate(var_names, start=1)}
+    else:
+        var_names = list(variable_order)
+        var_index = _numbering(var_names, "variable")
+        for var in mentioned:
+            if var not in var_index:
+                raise DiagramError(f"unknown variable {var!r}")
+    sum_index = _numbering(sum_names, "sum variable")
+
+    cols: dict[str, list[int]] = {m: [] for m, _, _ in schema_stockflow().morphisms}
+    cols["fv"] = [var_index[var] for var in flow_vars]
+    for s, stock, (inflows, outflows, link_vars, link_sums) in zip(count(1), stock_names, specs):
+        cols["is"] += [s] * len(inflows)
+        cols["ifn"] += _rows(flow_index, inflows, _UNKNOWN_INFLOW, stock)
+        cols["os"] += [s] * len(outflows)
+        cols["ofn"] += _rows(flow_index, outflows, _UNKNOWN_OUTFLOW, stock)
+        cols["lvs"] += [s] * len(link_vars)
+        cols["lvv"] += [var_index[var] for var in link_vars]
+        cols["lss"] += [s] * len(link_sums)
+        cols["lssv"] += _rows(sum_index, link_sums, _UNKNOWN_SUM, stock)
+    for sv, sv_targets in enumerate(targets, start=1):
+        cols["lsvsv"] += [sv] * len(sv_targets)
+        cols["lsvv"] += [var_index[var] for var in sv_targets]
 
     clash = set(stock_index) & set(sum_index)
     if clash:
         # Formulas resolve identifiers by name, so this would be ambiguous.
         raise DiagramError(f"stock and sum variable share a name: {', '.join(sorted(clash))}")
+    inst = Instance(
+        schema=schema_stockflow(),
+        n={
+            "S": len(stock_names), "F": len(flow_names), "I": len(cols["is"]),
+            "O": len(cols["os"]), "V": len(var_names), "SV": len(sum_names),
+            "LS": len(cols["lss"]), "LV": len(cols["lvs"]), "LSV": len(cols["lsvsv"]),
+        },
+        columns=cols,
+        names={"sname": stock_names, "fname": flow_names, "vname": var_names, "svname": sum_names},
+    )
     problems = validate_instance(inst)
     if problems:
         raise DiagramError("; ".join(problems))

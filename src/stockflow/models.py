@@ -15,6 +15,7 @@ from . import bundle as bundle_io
 from .bundle import ModelBundle
 from .compose import WiringPattern
 from .diagrams import Foot, StockFlowDiagram
+from .expressions import Expression
 from .stratify import TypedDiagram
 
 MODELS_DIR = Path(__file__).resolve().parents[2] / "models"
@@ -147,8 +148,8 @@ def sis_sex() -> StockFlowDiagram:
     return _diagram("sis_sex", "sis_sex")
 
 
-def sis_sex_expressions() -> dict[str, str]:
-    """Formulas for the sex-stratified SIS (names as produced by the
+def sis_sex_expressions() -> dict[str, Expression]:
+    """Parsed formulas for the sex-stratified SIS (names as produced by the
     pullback: concatenated component names)."""
     return load("sis_sex").models["sis_sex"].expressions
 

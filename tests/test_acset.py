@@ -121,9 +121,10 @@ def test_validate_flags_dangling_column():
     set_subpart(inst, "fv", 1, 1)
     row = add_part(inst, "O")
     set_subpart(inst, "os", row, 1)
-    inst.columns["ofn"][row - 1] = 7  # bypass the setter to plant a dangler
-    problems = validate_instance(inst)
-    assert len(problems) == 1 and "outside" in problems[0]
+    for dangler in (7, 2, 0):  # far out, and one past either end of F
+        inst.columns["ofn"][row - 1] = dangler  # bypass the setter to plant a dangler
+        problems = validate_instance(inst)
+        assert len(problems) == 1 and "outside" in problems[0]
 
 
 def test_identity_is_natural():

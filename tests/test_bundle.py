@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -128,9 +129,29 @@ def test_schema_violations_carry_paths():
         bio.parse_json(broken2)
     assert "expression" in str(err2.value)
 
+    # Tables are type-checked whole; a failure still names the first bad row.
+    for mutate, where in [
+        (lambda m: m["stock_variable_links"][3].append("S"), "models.seir.stock_variable_links[3]:"),
+        (lambda m: m["stock_sum_links"].__setitem__(1, ["S", 7]), "models.seir.stock_sum_links[1]:"),
+        (lambda m: m["flows"][2].__setitem__("upstream", 3), "models.seir.flows[2].upstream:"),
+        (lambda m: m["flows"][4].pop("variable"), "models.seir.flows[4].variable:"),
+        (lambda m: m["variables"].__setitem__(5, "v"), "models.seir.variables[5].name:"),
+    ]:
+        doc = json.loads(text)
+        mutate(doc["models"]["seir"])
+        with pytest.raises(BundleError) as err:
+            bio.parse_json(json.dumps(doc))
+        assert str(err.value).startswith(where), err.value
+
 
 def test_dangling_bundle_references():
     md = bio.diagram_to_model(models.seir())
     md.stock_sum_links.append(("S", "GHOST"))
     with pytest.raises(BundleError):
         bio.model_to_structure(md)
+    # A repeated name is an error, not merged into one element.
+    for table in ("stocks", "sum_variables"):
+        md = bio.diagram_to_model(models.seir())
+        getattr(md, table).append(getattr(md, table)[0])
+        with pytest.raises(BundleError, match="duplicate"):
+            bio.model_to_structure(md)

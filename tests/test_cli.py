@@ -291,7 +291,7 @@ def _unknown_type_name(doc):
     [
         (_link_without_type_row, "LV row 4 resolves to 0 candidates"),
         (_parallel_type_links, "LSV row 1 resolves to 2 candidates"),
-        (_unknown_type_name, "'NOPE' of F 'birth' names 0 type elements"),
+        (_unknown_type_name, "image 'NOPE' of F 'birth' names 0 type elements"),
     ],
     ids=["no-candidate", "two-candidates", "unknown-type-name"],
 )
@@ -301,4 +301,20 @@ def test_validate_rejects_unresolvable_typings(bundles_dir, tmp_path, capsys, mu
     path = tmp_path / "typed.json"
     path.write_text(json.dumps(doc))
     assert run(["validate", str(path)]) == 2
-    assert expected in capsys.readouterr().out
+    # One prefix naming the typing, not a second one naming its model.
+    assert capsys.readouterr().out == f"typing 't_seir_structure': {expected}\n"
+
+
+def test_validate_reports_typed_model_failures_with_the_rest(bundles_dir, tmp_path, capsys):
+    doc = _seir_typed_doc(bundles_dir)
+    doc["models"]["seir_structure"]["stock_sum_links"].append(["S", "GHOST"])
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    problem = "stock-sum link references unknown sum variable 'GHOST'"
+    assert captured.out == (
+        f"model 'seir_structure': {problem}\n"
+        f"typing 't_seir_structure': model 'seir_structure': {problem}\n"
+    )
+    assert captured.err == ""
