@@ -11,9 +11,8 @@ and the matched product used for stratification (:func:`pullback`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, NamedTuple
 
 from .schema import SchemaDef
 
@@ -22,20 +21,32 @@ class AcsetError(Exception):
     """Structural misuse of an instance, homomorphism or kernel operation."""
 
 
-@dataclass
 class Instance:
-    schema: SchemaDef
-    n: dict[str, int] = field(default_factory=dict)
-    columns: dict[str, list[int | None]] = field(default_factory=dict)
-    names: dict[str, list[str]] = field(default_factory=dict)
+    """Row counts per object, a column per morphism and a name list per name
+    attribute; what the arguments leave out starts empty."""
 
-    def __post_init__(self) -> None:
-        for obj in self.schema.objects:
+    def __init__(
+        self,
+        schema: SchemaDef,
+        n: dict[str, int] | None = None,
+        columns: dict[str, list[int | None]] | None = None,
+        names: dict[str, list[str]] | None = None,
+    ) -> None:
+        self.schema = schema
+        self.n = {} if n is None else n
+        self.columns = {} if columns is None else columns
+        self.names = {} if names is None else names
+        for obj in schema.objects:
             self.n.setdefault(obj, 0)
-        for m, _, _ in self.schema.morphisms:
+        for m, _, _ in schema.morphisms:
             self.columns.setdefault(m, [])
-        for attr, _ in self.schema.name_attributes:
+        for attr, _ in schema.name_attributes:
             self.names.setdefault(attr, [])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Instance:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def name_of(self, obj: str, index: int) -> str:
         attr = self.schema.name_attribute_of(obj)
@@ -146,8 +157,7 @@ def validate_instance(inst: Instance) -> list[str]:
     return out
 
 
-@dataclass
-class Homomorphism:
+class Homomorphism(NamedTuple):
     source: Instance
     target: Instance
     components: dict[str, list[int]]  # per object: 1-based target indices
@@ -179,9 +189,8 @@ def _check_components(h: Homomorphism) -> None:
         comp = h.components.get(obj)
         if comp is None or len(comp) != h.source.n[obj]:
             raise AcsetError(f"component {obj} is not total")
-        for v in comp:
-            if not 1 <= v <= h.target.n[obj]:
-                raise AcsetError(f"component {obj} maps outside the target")
+        if comp and not (1 <= min(comp) and max(comp) <= h.target.n[obj]):
+            raise AcsetError(f"component {obj} maps outside the target")
 
 
 def naturality_failures(h: Homomorphism) -> list[tuple[str, int]]:
@@ -192,14 +201,16 @@ def naturality_failures(h: Homomorphism) -> list[tuple[str, int]]:
     _check_components(h)
     failures: list[tuple[str, int]] = []
     for m, dom, cod in h.source.schema.morphisms:
-        for i in range(1, h.source.n[dom] + 1):
-            via_source = h.source.columns[m][i - 1]
-            if via_source is None:
-                failures.append((m, i))
+        col, images, dom_images = h.source.columns[m], h.components[cod], h.components[dom]
+        if None not in col and min(col, default=1) > 0:
+            # Go round the square with whole columns (padded to take 1-based
+            # indices); walk the elements only to name the failures.
+            lhs, rhs = [0, *images], [0, *h.target.columns[m]]
+            if [lhs[v] for v in col] == [rhs[k] for k in dom_images]:
                 continue
-            lhs = h.components[cod][via_source - 1]
-            rhs = h.target.columns[m][h.components[dom][i - 1] - 1]
-            if lhs != rhs:
+        for i in range(1, h.source.n[dom] + 1):
+            v = col[i - 1]
+            if v is None or images[v - 1] != h.target.columns[m][dom_images[i - 1] - 1]:
                 failures.append((m, i))
     return failures
 
@@ -333,8 +344,7 @@ def pushout_quotient(
     return out, injections
 
 
-@dataclass
-class PullbackResult:
+class PullbackResult(NamedTuple):
     apex: Instance
     leg1: Homomorphism  # apex -> left source
     leg2: Homomorphism  # apex -> right source

@@ -9,7 +9,7 @@ identical bytes, and ``parse_json(emit_json(b)) == b``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .acset import preimages
 from .compose import Box, WiringPattern
@@ -51,16 +51,14 @@ class BundleError(Exception):
     """Malformed bundle text or a reference that does not resolve."""
 
 
-@dataclass
-class FlowDef:
+class FlowDef(NamedTuple):
     name: str
     variable: str
     upstream: str | None = None
     downstream: str | None = None
 
 
-@dataclass
-class ModelDef:
+class ModelDef(NamedTuple):
     stocks: list[str]
     flows: list[FlowDef]
     variables: list[str]
@@ -71,29 +69,25 @@ class ModelDef:
     sum_variable_links: list[tuple[str, str]]
 
 
-@dataclass
-class FootDef:
+class FootDef(NamedTuple):
     stock: str
     sum_variable: str
     links: list[tuple[str, str]]
 
 
-@dataclass
-class BoxDef:
+class BoxDef(NamedTuple):
     model: str
     feet: list[str]
     ports: list[str]
 
 
-@dataclass
-class PatternDef:
+class PatternDef(NamedTuple):
     junctions: list[str]
     boxes: list[BoxDef]
     outer_ports: list[str]
 
 
-@dataclass
-class TypingDef:
+class TypingDef(NamedTuple):
     model: str
     type_model: str
     stocks: dict[str, str]
@@ -102,14 +96,29 @@ class TypingDef:
     sum_variables: dict[str, str]
 
 
-@dataclass
 class ModelBundle:
-    models: dict[str, ModelDef] = field(default_factory=dict)
-    feet: dict[str, FootDef] = field(default_factory=dict)
-    wiring: dict[str, PatternDef] = field(default_factory=dict)
-    typings: dict[str, TypingDef] = field(default_factory=dict)
-    parameters: dict[str, dict[str, float]] = field(default_factory=dict)
-    initial: dict[str, dict[str, float]] = field(default_factory=dict)
+    """The six named sections of a bundle; a section not given starts empty."""
+
+    def __init__(
+        self,
+        models: dict[str, ModelDef] | None = None,
+        feet: dict[str, FootDef] | None = None,
+        wiring: dict[str, PatternDef] | None = None,
+        typings: dict[str, TypingDef] | None = None,
+        parameters: dict[str, dict[str, float]] | None = None,
+        initial: dict[str, dict[str, float]] | None = None,
+    ) -> None:
+        self.models = {} if models is None else models
+        self.feet = {} if feet is None else feet
+        self.wiring = {} if wiring is None else wiring
+        self.typings = {} if typings is None else typings
+        self.parameters = {} if parameters is None else parameters
+        self.initial = {} if initial is None else initial
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ModelBundle:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 # --- diagrams <-> bundle entries -------------------------------------------

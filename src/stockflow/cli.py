@@ -7,6 +7,7 @@ STOCKFLOW_COLOR=0 to disable ANSI colour.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -215,7 +216,10 @@ def _sole_typed(b: ModelBundle, path: str, type_structure) -> tuple[str, TypedDi
 def _cmd_stratify(args) -> int:
     type_bundle = _load_bundle(args.type)
     type_name, type_md = _pick(type_bundle.models, "model", None)
-    type_structure = bundle_io.model_to_structure(type_md)
+    try:
+        type_structure = bundle_io.model_to_structure(type_md)
+    except BundleError as exc:
+        raise CliError(f"{args.type}: model {type_name!r}: {exc}", EXIT_VALIDATION) from exc
 
     names = []
     typed = []
@@ -263,7 +267,9 @@ def _cmd_graph(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """Built on first use and then shared: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="stockflow", description="Stock-flow diagram toolbox"
     )

@@ -8,7 +8,7 @@ contributes one foot of the result.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .acset import Homomorphism, pushout_quotient
 from .diagrams import (
@@ -21,29 +21,34 @@ from .diagrams import (
 )
 
 
-@dataclass
-class Box:
+class Box(NamedTuple):
     name: str
     ports: list[str]  # junction names, one per foot of the attached diagram
 
 
-@dataclass
 class WiringPattern:
-    junctions: list[str]
-    boxes: list[Box]
-    outer_ports: list[str] = field(default_factory=list)
+    """Junctions, boxes wired to them and the composite's outer ports; every
+    port must name a declared junction."""
 
-    def __post_init__(self) -> None:
-        declared = set(self.junctions)
-        if len(declared) != len(self.junctions):
+    def __init__(self, junctions: list[str], boxes: list[Box], outer_ports: list[str] | None = None) -> None:
+        self.junctions = junctions
+        self.boxes = boxes
+        self.outer_ports = [] if outer_ports is None else outer_ports
+        declared = set(junctions)
+        if len(declared) != len(junctions):
             raise DiagramError("duplicate junction name")
-        for box in self.boxes:
+        for box in boxes:
             for port in box.ports:
                 if port not in declared:
                     raise DiagramError(f"box {box.name!r} wires unknown junction {port!r}")
         for port in self.outer_ports:
             if port not in declared:
                 raise DiagramError(f"outer port references unknown junction {port!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not WiringPattern:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def apex(open_diag: OpenStockFlow) -> StockFlowDiagram:

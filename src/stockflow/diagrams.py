@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from itertools import chain, count
+from typing import NamedTuple
 
 from .acset import (
     Homomorphism,
@@ -39,13 +39,18 @@ class DiagramError(Exception):
     """A builder input that does not describe a well-formed diagram."""
 
 
-@dataclass
 class StockFlowDiagram:
     """The instance tables plus one formula per auxiliary variable; a bare
     system-structure diagram has ``expressions`` None."""
 
-    inst: Instance
-    expressions: dict[str, Expression] | None = None
+    def __init__(self, inst: Instance, expressions: dict[str, Expression] | None = None) -> None:
+        self.inst = inst
+        self.expressions = expressions
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not StockFlowDiagram:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def stocks(self) -> list[str]:
@@ -64,13 +69,11 @@ class StockFlowDiagram:
         return self.inst.names_of("SV")
 
 
-@dataclass
-class Foot:
+class Foot(NamedTuple):
     inst: Instance  # over the interface schema
 
 
-@dataclass
-class OpenStockFlow:
+class OpenStockFlow(NamedTuple):
     apex: StockFlowDiagram
     feet: list[Foot]
     legs: list[Homomorphism]  # foot -> interface part of the apex

@@ -9,29 +9,25 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 Expression = Union["Num", "Ident", "Unary", "BinOp"]
 
 
-@dataclass(frozen=True)
-class Num:
+# Tree nodes are NamedTuples: immutable, hashable and compared by value.
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Ident:
+class Ident(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(NamedTuple):
     operand: Expression  # unary minus
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # one of + - * / ^
     left: Expression
     right: Expression

@@ -7,7 +7,6 @@ variables are evaluated first as plain sums of their linked stocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .diagrams import StockFlowDiagram
@@ -22,11 +21,18 @@ class OdeError(Exception):
     pass
 
 
-@dataclass
 class Trajectory:
-    times: list[float]
-    states: list[StateVector]
-    metadata: dict = field(default_factory=dict)
+    """Sample times, the state at each, and integrator statistics."""
+
+    def __init__(self, times: list[float], states: list[StateVector], metadata: dict | None = None) -> None:
+        self.times = times
+        self.states = states
+        self.metadata = {} if metadata is None else metadata
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Trajectory:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def final(self) -> StateVector:
         return self.states[-1]

@@ -7,43 +7,44 @@ carrier object).  Diagrams are instances of these schemas; see ``acset``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class SchemaDef:
     """Objects, foreign-key morphisms and name attributes of a diagram kind."""
 
-    objects: tuple[str, ...]
-    morphisms: tuple[tuple[str, str, str], ...]  # (name, domain, codomain)
-    name_attributes: tuple[tuple[str, str], ...]  # (attribute, carrier object)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        objects: tuple[str, ...],
+        morphisms: tuple[tuple[str, str, str], ...],  # (name, domain, codomain)
+        name_attributes: tuple[tuple[str, str], ...],  # (attribute, carrier object)
+    ) -> None:
+        self.objects = objects
+        self.morphisms = morphisms
+        self.name_attributes = name_attributes
         seen: set[str] = set()
-        for name in (
-            list(self.objects)
-            + [m[0] for m in self.morphisms]
-            + [a[0] for a in self.name_attributes]
-        ):
+        for name in [*objects, *(m[0] for m in morphisms), *(a[0] for a in name_attributes)]:
             if name in seen:
                 raise ValueError(f"duplicate schema name: {name!r}")
             seen.add(name)
-        objs = set(self.objects)
-        for name, dom, cod in self.morphisms:
+        objs = set(objects)
+        for name, dom, cod in morphisms:
             if dom not in objs or cod not in objs:
                 raise ValueError(f"morphism {name!r} references unknown object")
-        for attr, carrier in self.name_attributes:
+        for attr, carrier in name_attributes:
             if carrier not in objs:
                 raise ValueError(f"attribute {attr!r} references unknown object")
-        # Lookup maps, built once; the dataclass is frozen, hence __setattr__.
-        # The first attribute listed for a carrier is its name attribute.
-        object.__setattr__(self, "_morphism", {m[0]: m for m in self.morphisms})
-        object.__setattr__(self, "_morphisms_from", {
-            obj: tuple(m for m in self.morphisms if m[1] == obj) for obj in self.objects
-        })
-        object.__setattr__(self, "_name_attribute", {
-            carrier: attr for attr, carrier in reversed(self.name_attributes)
-        })
+        # Lookup maps, built once.  The first attribute listed for a carrier
+        # is its name attribute.
+        self._morphism = {m[0]: m for m in morphisms}
+        self._morphisms_from = {obj: tuple(m for m in morphisms if m[1] == obj) for obj in objects}
+        self._name_attribute = {carrier: attr for attr, carrier in reversed(name_attributes)}
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SchemaDef:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash((self.objects, self.morphisms, self.name_attributes))
 
     def morphism(self, name: str) -> tuple[str, str, str]:
         try:

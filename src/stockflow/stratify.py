@@ -8,8 +8,7 @@ same kind.  Formulas do not transport; reattach them afterwards.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .acset import (
     Homomorphism,
@@ -21,8 +20,7 @@ from .acset import (
 from .diagrams import DiagramError, StockFlowDiagram, duplicate_names
 
 
-@dataclass
-class TypedDiagram:
+class TypedDiagram(NamedTuple):
     diagram: StockFlowDiagram
     type_system: StockFlowDiagram
     typing: Homomorphism  # diagram -> type system; names play no role

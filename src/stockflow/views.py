@@ -7,15 +7,14 @@ not computed; the output is a plain directed multigraph.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .acset import Instance, preimages
 from .diagrams import StockFlowDiagram
 from .schema import schema_causalloop
 
 
-@dataclass
-class CausalLoopGraph:
+class CausalLoopGraph(NamedTuple):
     inst: Instance  # over the causal-loop schema
 
     @property

@@ -6,6 +6,7 @@ from stockflow import models
 from stockflow.acset import (
     AcsetError,
     Homomorphism,
+    Instance,
     add_part,
     canonical_sort,
     compose_hom,
@@ -149,6 +150,75 @@ def test_mutated_typing_fails():
     assert len(naturality_failures(broken)) >= 1
 
 
+def _failures_by_element(h):
+    """Reference: the per-element scan that naturality_failures runs only
+    on columns whose whole-column comparison fails."""
+    failures = []
+    for m, dom, cod in h.source.schema.morphisms:
+        for i in range(1, h.source.n[dom] + 1):
+            v = h.source.columns[m][i - 1]
+            if v is None or h.components[cod][v - 1] != h.target.columns[m][h.components[dom][i - 1] - 1]:
+                failures.append((m, i))
+    return failures
+
+
+def _outcome(check, h):
+    """The failure list, or IndexError where a column points past a table."""
+    try:
+        return check(h)
+    except IndexError:
+        return IndexError
+
+
+def _mutants(rng, h, count):
+    """Copies of `h` with some component entries redirected and some source
+    column entries unset, 0 or negative."""
+    for _ in range(count):
+        comps = {obj: list(comp) for obj, comp in h.components.items()}
+        for obj, comp in comps.items():
+            for k in range(len(comp)):
+                if rng.random() < 0.2:
+                    comp[k] = rng.randint(1, h.target.n[obj])
+        source = Instance(
+            h.source.schema,
+            n=dict(h.source.n),
+            columns={m: list(col) for m, col in h.source.columns.items()},
+            names=h.source.names,
+        )
+        for col in source.columns.values():
+            if col and rng.random() < 0.2:
+                col[rng.randrange(len(col))] = rng.choice([None, 0, -1])
+        yield Homomorphism(source, h.target, comps)
+
+
+def test_naturality_failures_match_the_per_element_scan():
+    rng = random.Random(5)
+    homs = [models.seir_typed().typing, models.sis_typed().typing, models.sex_strata_with_aging_typed().typing]
+    for _ in range(40):
+        homs.append(_random_hom_into(rng, _random_graph(rng)))
+    checked = failing = 0
+    for h in homs:
+        assert naturality_failures(h) == _failures_by_element(h) == []
+        for mutant in _mutants(rng, h, 10):
+            expected = _outcome(_failures_by_element, mutant)
+            assert _outcome(naturality_failures, mutant) == expected
+            checked += 1
+            failing += bool(expected)
+    assert failing > checked // 4  # the mutants do reach the element walk
+
+
+def test_components_must_be_total_and_in_range():
+    t = models.seir_typed().typing
+    for bad, message in ((0, "maps outside"), (t.target.n["F"] + 1, "maps outside"), (None, "is not total")):
+        flows = list(t.components["F"])
+        if bad is None:
+            flows.pop()
+        else:
+            flows[-1] = bad
+        with pytest.raises(AcsetError, match=f"component F {message}"):
+            naturality_failures(Homomorphism(t.source, t.target, {**t.components, "F": flows}))
+
+
 def test_identity_composition():
     seir = models.seir().inst
     t = models.seir_typed().typing
@@ -261,55 +331,6 @@ def test_pushout_seir_sve_stock_counts():
     assert out.n["S"] == 5
     assert out.n["SV"] == 1
     assert sorted(out.names_of("S")) == ["E", "I", "R", "S", "V"]
-
-
-def test_pushout_count_law_matches_independent_union_find():
-    # Independent oracle: count classes over the disjoint union using a plain
-    # dict-based partition refinement, including morphism congruence.
-    rng = random.Random(21)
-    for _ in range(25):
-        parts = [_random_graph(rng, max_n=4) for _ in range(rng.randint(1, 3))]
-        idents = []
-        for _ in range(rng.randint(0, 4)):
-            obj = rng.choice(["N", "E"])
-            pa, pb = rng.randrange(len(parts)), rng.randrange(len(parts))
-            if parts[pa].n[obj] == 0 or parts[pb].n[obj] == 0:
-                continue
-            idents.append((pa, obj, rng.randint(1, parts[pa].n[obj]), pb, rng.randint(1, parts[pb].n[obj])))
-        out, injections = pushout_quotient(parts, idents)
-
-        classes = {obj: {} for obj in ("N", "E")}
-        def find(obj, key):
-            while classes[obj].get(key, key) != key:
-                key = classes[obj][key]
-            return key
-        def union(obj, a, b):
-            ra, rb = find(obj, a), find(obj, b)
-            if ra != rb:
-                classes[obj][max(ra, rb)] = min(ra, rb)
-        for pa, obj, ea, pb, eb in idents:
-            union(obj, (pa, ea), (pb, eb))
-        changed = True
-        while changed:
-            changed = False
-            for m, dom, cod in parts[0].schema.morphisms:
-                images = {}
-                for pi, part in enumerate(parts):
-                    for e in range(1, part.n[dom] + 1):
-                        root = find(dom, (pi, e))
-                        img = find(cod, (pi, subpart(part, m, e)))
-                        if root in images and images[root] != img:
-                            union(cod, images[root], img)
-                            changed = True
-                        images[root] = find(cod, img)
-        for obj in ("N", "E"):
-            total = sum(p.n[obj] for p in parts)
-            keys = [(pi, e) for pi, p in enumerate(parts) for e in range(1, p.n[obj] + 1)]
-            n_classes = len({find(obj, k) for k in keys})
-            merges = total - n_classes
-            assert out.n[obj] == total - merges
-        for inj in injections:
-            assert is_natural(inj)
 
 
 def test_pullback_full_product_over_singleton_types():

@@ -1,10 +1,13 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import stockflow
 from stockflow import bundle as bio
-from stockflow import models
+from stockflow import cli, models
 from stockflow.bundle import ModelBundle
 from stockflow.cli import run
 from stockflow.diagrams import build_system_structure
@@ -162,6 +165,24 @@ def test_stratify_type_mismatch(bundles_dir, tmp_path):
     assert code == 2
 
 
+def test_stratify_names_the_type_file_and_model(bundles_dir, tmp_path, capsys):
+    doc = json.loads(Path(_b(bundles_dir, "s_type")).read_text())
+    doc["models"]["s_type"]["stock_sum_links"].append(["Pop", "GHOST"])
+    bad = tmp_path / "type.json"
+    bad.write_text(json.dumps(doc))
+    code = run([
+        "stratify",
+        "--aggregate", _b(bundles_dir, "seir_typed"),
+        "--strata", _b(bundles_dir, "age_typed"),
+        "--type", str(bad),
+        "--out", str(tmp_path / "x.json"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"{bad}: model 's_type': stock-sum link references unknown sum variable 'GHOST'\n"
+    )
+
+
 def test_stratify_name_clash_is_exit_3(bundles_dir, tmp_path, capsys):
     ts = models.type_system()
     paths = []
@@ -215,6 +236,30 @@ def test_usage_errors(bundles_dir, tmp_path):
                 "--out", str(tmp_path / "x.csv")]) == 1  # two models, none picked
     assert run(["nonsense"]) == 1
     assert run(["info", str(tmp_path / "missing.json")]) == 1
+
+
+def test_parser_is_built_once_and_keeps_no_state(bundles_dir, tmp_path, capsys):
+    graph = ["graph", _b(bundles_dir, "seirv"), "--out", str(tmp_path / "x.dot")]
+    assert run(graph + ["--model", "sve"]) == 0
+    assert run(graph) == 1  # the previous call's --model does not carry over
+    assert run(["graph"]) == 1
+    assert run(graph + ["--model", "seir"]) == 0
+    assert "usage: stockflow graph" in capsys.readouterr().err
+    assert cli._parser() is cli._parser()
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    # Every command runs in a fresh process, so each pays for what importing
+    # the CLI loads; dataclasses alone pulls in inspect, ast, dis and tokenize.
+    # -S keeps site hooks from loading modules the CLI does not.
+    src = str(Path(stockflow.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import stockflow.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_stratify_two_strata_dimensions(bundles_dir, tmp_path, capsys):
