@@ -6,17 +6,11 @@ from .acset import (
     Homomorphism,
     Instance,
     PullbackResult,
-    add_part,
-    canonical_sort,
     compose_hom,
-    identity_hom,
-    incident,
     is_natural,
     naturality_failures,
     pullback,
     pushout_quotient,
-    set_subpart,
-    subpart,
     validate_instance,
 )
 from .compose import Box, WiringPattern, apex, oapply
@@ -28,21 +22,16 @@ from .diagrams import (
     attach_dynamics,
     build_stockflow,
     build_system_structure,
-    downstream,
     flatten_names,
     foot,
-    inflows_of,
     open_diagram,
-    outflows_of,
     to_system_structure,
-    upstream,
 )
 from .expressions import (
     EvalError,
     Expression,
     ExpressionError,
     ParseError,
-    eval_expression,
     format_expression,
     parse_expression,
 )

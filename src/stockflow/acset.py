@@ -2,7 +2,8 @@
 
 An :class:`Instance` is a categorical database: one table per schema object,
 one foreign-key column per morphism, one text column per name attribute.
-Element identity is a dense 1-based integer per table; tables are append-only.
+Element identity is a dense 1-based integer per table.  Code reads and
+builds instances a whole column at a time.
 
 On top of instances live :class:`Homomorphism` (structure-preserving maps,
 checked by :func:`is_natural`), the quotient used for gluing
@@ -60,63 +61,10 @@ class Instance:
             raise AcsetError(f"object {obj!r} has no name attribute")
         return list(self.names[attr])
 
-    def index_of(self, obj: str, name: str) -> int:
-        """1-based index of the uniquely named element of `obj`."""
-        hits = [i + 1 for i, nm in enumerate(self.names_of(obj)) if nm == name]
-        if not hits:
-            raise AcsetError(f"no {obj} element named {name!r}")
-        if len(hits) > 1:
-            raise AcsetError(f"ambiguous {obj} name {name!r}")
-        return hits[0]
-
-
-def empty_instance(schema: SchemaDef) -> Instance:
-    return Instance(schema=schema)
-
-
-def add_part(inst: Instance, obj: str, name: str = "") -> int:
-    """Append a fresh element to `obj`; its outgoing columns start unset."""
-    if obj not in inst.schema.objects:
-        raise AcsetError(f"unknown object: {obj!r}")
-    inst.n[obj] += 1
-    for m, _, _ in inst.schema.morphisms_from(obj):
-        inst.columns[m].append(None)
-    attr = inst.schema.name_attribute_of(obj)
-    if attr is not None:
-        inst.names[attr].append(name)
-    return inst.n[obj]
-
-
-def set_subpart(inst: Instance, morphism: str, element: int, value: int) -> None:
-    _, dom, cod = inst.schema.morphism(morphism)
-    if not 1 <= element <= inst.n[dom]:
-        raise AcsetError(f"{morphism}: element {element} out of range for {dom}")
-    if not 1 <= value <= inst.n[cod]:
-        raise AcsetError(f"{morphism}: value {value} out of range for {cod}")
-    inst.columns[morphism][element - 1] = value
-
-
-def subpart(inst: Instance, morphism: str, element: int) -> int:
-    _, dom, _ = inst.schema.morphism(morphism)
-    if not 1 <= element <= inst.n[dom]:
-        raise AcsetError(f"{morphism}: element {element} out of range for {dom}")
-    value = inst.columns[morphism][element - 1]
-    if value is None:
-        raise AcsetError(f"{morphism}: element {element} is unset")
-    return value
-
-
-def incident(inst: Instance, morphism: str, value: int) -> list[int]:
-    """All domain elements whose column equals `value`, ascending."""
-    _, _, cod = inst.schema.morphism(morphism)
-    if not 1 <= value <= inst.n[cod]:
-        raise AcsetError(f"{morphism}: value {value} out of range for {cod}")
-    return [i + 1 for i, v in enumerate(inst.columns[morphism]) if v == value]
-
 
 def preimages(column: Iterable[Hashable]) -> dict[Hashable, list[int]]:
     """Each value of `column` mapped to the 1-based positions holding it,
-    ascending: ``incident`` for every value at once, in one pass."""
+    ascending, in one pass."""
     out: dict[Hashable, list[int]] = {}
     for i, value in enumerate(column, start=1):
         out.setdefault(value, []).append(i)
@@ -166,11 +114,6 @@ class Homomorphism(NamedTuple):
         return self.components[obj][index - 1]
 
 
-def identity_hom(inst: Instance) -> Homomorphism:
-    comps = {obj: list(range(1, inst.n[obj] + 1)) for obj in inst.schema.objects}
-    return Homomorphism(inst, inst, comps)
-
-
 def compose_hom(g: Homomorphism, h: Homomorphism) -> Homomorphism:
     """Composite mapping each element through `g` and then `h`."""
     if g.target is not h.source and g.target != h.source:
@@ -196,13 +139,14 @@ def _check_components(h: Homomorphism) -> None:
 def naturality_failures(h: Homomorphism) -> list[tuple[str, int]]:
     """(morphism, source element) pairs whose square fails to commute.
 
+    A column value that is unset or outside its codomain fails its square.
     Name attributes are deliberately ignored: maps need not preserve labels.
     """
     _check_components(h)
     failures: list[tuple[str, int]] = []
     for m, dom, cod in h.source.schema.morphisms:
         col, images, dom_images = h.source.columns[m], h.components[cod], h.components[dom]
-        if None not in col and min(col, default=1) > 0:
+        if None not in col and (not col or 1 <= min(col) and max(col) <= len(images)):
             # Go round the square with whole columns (padded to take 1-based
             # indices); walk the elements only to name the failures.
             lhs, rhs = [0, *images], [0, *h.target.columns[m]]
@@ -210,7 +154,11 @@ def naturality_failures(h: Homomorphism) -> list[tuple[str, int]]:
                 continue
         for i in range(1, h.source.n[dom] + 1):
             v = col[i - 1]
-            if v is None or images[v - 1] != h.target.columns[m][dom_images[i - 1] - 1]:
+            if (
+                v is None
+                or not 1 <= v <= len(images)
+                or images[v - 1] != h.target.columns[m][dom_images[i - 1] - 1]
+            ):
                 failures.append((m, i))
     return failures
 
@@ -312,7 +260,7 @@ def pushout_quotient(
 
     # Number the classes 1.. in order of their smallest member, which is also
     # their union-find root; cls[obj][g] is the class of global element g.
-    out = empty_instance(schema)
+    out = Instance(schema)
     cls: dict[str, list[int]] = {}
     for obj in schema.objects:
         number: dict[int, int] = {}
@@ -374,7 +322,7 @@ def pullback(left: Homomorphism, right: Homomorphism) -> PullbackResult:
         pairs[obj] = lst
         pair_index[obj] = {p: k + 1 for k, p in enumerate(lst)}
 
-    apex = empty_instance(schema)
+    apex = Instance(schema)
     for obj in schema.objects:
         apex.n[obj] = len(pairs[obj])
         attr = schema.name_attribute_of(obj)
@@ -405,50 +353,3 @@ def pullback(left: Homomorphism, right: Homomorphism) -> PullbackResult:
 def _strip_punctuation(name: str) -> str:
     return name.replace("(", "").replace(")", "").replace(":", "").replace(",", "").replace(" ", "")
 
-
-def canonical_sort(inst: Instance) -> Instance:
-    """Reorder every named table by name and remap columns; unnamed tables
-    are then ordered by their remapped column tuples.
-
-    For instances whose names are unique per table (every diagram built or
-    composed here), equal canonical forms mean isomorphic instances.
-    """
-    perm: dict[str, list[int]] = {}
-    for obj in inst.schema.objects:
-        attr = inst.schema.name_attribute_of(obj)
-        order = list(range(1, inst.n[obj] + 1))
-        if attr is not None:
-            order.sort(key=lambda i: (inst.names[attr][i - 1], i))
-        perm[obj] = order  # new position k holds old element order[k]
-
-    new_index: dict[str, dict[int, int]] = {
-        obj: {old: k + 1 for k, old in enumerate(perm[obj])} for obj in inst.schema.objects
-    }
-
-    def remapped_row(obj: str, old: int) -> tuple:
-        return tuple(
-            None if (v := inst.columns[m][old - 1]) is None else new_index[cod][v]
-            for m, _, cod in inst.schema.morphisms_from(obj)
-        )
-
-    # Order unnamed tables by their (already remapped) foreign keys.
-    for obj in inst.schema.objects:
-        if inst.schema.name_attribute_of(obj) is None:
-            order = list(range(1, inst.n[obj] + 1))
-            order.sort(key=lambda i: (remapped_row(obj, i), i))
-            perm[obj] = order
-            new_index[obj] = {old: k + 1 for k, old in enumerate(order)}
-
-    out = empty_instance(inst.schema)
-    for obj in inst.schema.objects:
-        out.n[obj] = inst.n[obj]
-        attr = inst.schema.name_attribute_of(obj)
-        if attr is not None:
-            out.names[attr] = [inst.names[attr][old - 1] for old in perm[obj]]
-    for m, dom, cod in inst.schema.morphisms:
-        col: list[int | None] = []
-        for old in perm[dom]:
-            v = inst.columns[m][old - 1]
-            col.append(None if v is None else new_index[cod][v])
-        out.columns[m] = col
-    return out

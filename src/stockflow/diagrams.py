@@ -20,17 +20,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, count
 from typing import NamedTuple
 
-from .acset import (
-    Homomorphism,
-    Instance,
-    add_part,
-    empty_instance,
-    incident,
-    preimages,
-    set_subpart,
-    subpart,
-    validate_instance,
-)
+from .acset import Homomorphism, Instance, _strip_punctuation, preimages, validate_instance
 from .expressions import Expression, identifiers, parse_expression
 from .schema import schema_interface, schema_stockflow
 
@@ -285,8 +275,7 @@ def flatten_names(s: StockFlowDiagram) -> StockFlowDiagram:
 def _flatten(name: str) -> str:
     if "(" not in name and "," not in name:
         return name
-    cleaned = name.replace("(", "").replace(")", "").replace(":", "").replace(" ", "")
-    for part in cleaned.split(","):
+    for part in map(_strip_punctuation, name.split(",")):
         if not part.startswith("id"):
             return part
     return "id"
@@ -294,29 +283,27 @@ def _flatten(name: str) -> str:
 
 def foot(stock: str, sum_variable: str, links: Iterable[tuple[str, str]] = ()) -> Foot:
     """An interface with one stock, one sum variable and the given links."""
-    inst = empty_instance(schema_interface())
-    s = add_part(inst, "S", stock)
-    sv = add_part(inst, "SV", sum_variable)
+    links = list(links)
     for src, dst in links:
         if src != stock or dst != sum_variable:
             raise DiagramError(f"foot link ({src!r}, {dst!r}) references undeclared names")
-        row = add_part(inst, "LS")
-        set_subpart(inst, "lss", row, s)
-        set_subpart(inst, "lssv", row, sv)
-    return Foot(inst)
+    return Foot(Instance(
+        schema_interface(),
+        n={"S": 1, "SV": 1, "LS": len(links)},
+        columns={"lss": [1] * len(links), "lssv": [1] * len(links)},
+        names={"sname": [stock], "svname": [sum_variable]},
+    ))
 
 
 def interface_part(inst: Instance) -> Instance:
     """The stock/sum-variable/sum-link fragment of a stock-flow instance,
     with element indices unchanged."""
-    out = empty_instance(schema_interface())
-    for obj in ("S", "SV", "LS"):
-        out.n[obj] = inst.n[obj]
-    out.names["sname"] = list(inst.names["sname"])
-    out.names["svname"] = list(inst.names["svname"])
-    out.columns["lss"] = list(inst.columns["lss"])
-    out.columns["lssv"] = list(inst.columns["lssv"])
-    return out
+    return Instance(
+        schema_interface(),
+        n={obj: inst.n[obj] for obj in ("S", "SV", "LS")},
+        columns={m: list(inst.columns[m]) for m in ("lss", "lssv")},
+        names={attr: list(inst.names[attr]) for attr in ("sname", "svname")},
+    )
 
 
 def open_diagram(d: StockFlowDiagram, feet: Sequence[Foot]) -> OpenStockFlow:
@@ -345,32 +332,3 @@ def open_diagram(d: StockFlowDiagram, feet: Sequence[Foot]) -> OpenStockFlow:
         legs.append(Homomorphism(ft.inst, target, comps))
     return OpenStockFlow(d, list(feet), legs)
 
-
-def upstream(d: StockFlowDiagram, flow: str) -> str | None:
-    """The stock the flow drains, or None for a source cloud."""
-    inst = d.inst
-    rows = incident(inst, "ofn", inst.index_of("F", flow))
-    return inst.name_of("S", subpart(inst, "os", rows[0])) if rows else None
-
-
-def downstream(d: StockFlowDiagram, flow: str) -> str | None:
-    """The stock the flow fills, or None for a sink cloud."""
-    inst = d.inst
-    rows = incident(inst, "ifn", inst.index_of("F", flow))
-    return inst.name_of("S", subpart(inst, "is", rows[0])) if rows else None
-
-
-def inflows_of(d: StockFlowDiagram, stock: str) -> list[str]:
-    inst = d.inst
-    return [
-        inst.name_of("F", subpart(inst, "ifn", row))
-        for row in incident(inst, "is", inst.index_of("S", stock))
-    ]
-
-
-def outflows_of(d: StockFlowDiagram, stock: str) -> list[str]:
-    inst = d.inst
-    return [
-        inst.name_of("F", subpart(inst, "ofn", row))
-        for row in incident(inst, "os", inst.index_of("S", stock))
-    ]

@@ -212,11 +212,6 @@ def compile_expression(expr: Expression) -> Callable[[Mapping[str, float]], floa
     raise ExpressionError(f"unknown operator {op!r}")
 
 
-def eval_expression(expr: Expression, env: Mapping[str, float]) -> float:
-    """Evaluate under `env`; the time symbol is just another binding."""
-    return compile_expression(expr)(env)
-
-
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 
 

@@ -13,7 +13,6 @@ from .diagrams import StockFlowDiagram
 from .expressions import EvalError, compile_expression, identifiers
 
 StateVector = dict[str, float]
-ParameterSet = dict[str, float]
 Evaluator = Callable[[Mapping[str, float], float], StateVector]
 
 
@@ -36,9 +35,6 @@ class Trajectory:
 
     def final(self) -> StateVector:
         return self.states[-1]
-
-    def series(self, stock: str) -> list[float]:
-        return [u[stock] for u in self.states]
 
 
 def sumvar_values(d: StockFlowDiagram, u: Mapping[str, float]) -> dict[str, float]:
@@ -101,12 +97,10 @@ def vectorfield(d: StockFlowDiagram, p: Mapping[str, float]) -> Evaluator:
         missing = [s for s in stocks if s not in u]
         if missing:
             raise OdeError(f"state is missing stock(s): {', '.join(missing)}")
-        env = dict(base_env)
-        env.update(u)
-        env["t"] = t
+        env = {**base_env, **u, "t": t}
         for sv_name, linked in zip(sums, sum_links):
             env[sv_name] = sum(env[s] for s in linked) if linked else 0.0
-        values: dict[str, float] = {}
+        values = {}
         for name, fn in compiled:
             try:
                 values[name] = fn(env)
@@ -133,6 +127,21 @@ def _check_finite(u: StateVector, t: float) -> None:
             raise OdeError(f"non-finite value for {name!r} at t={t!r}")
 
 
+def _check_arguments(t0: float, t1: float, **positive: float) -> None:
+    """Reject non-finite times, step-control arguments that are not finite
+    and positive, and an empty interval."""
+    for name, value in {"t0": t0, "t1": t1, "t1 - t0": t1 - t0, **positive}.items():
+        if not math.isfinite(value):
+            raise OdeError(f"{name} must be finite, got {value!r}")
+        if name in positive and value <= 0:
+            raise OdeError(f"{name} must be positive")
+    if t1 <= t0:
+        raise OdeError("t1 must exceed t0")
+
+
+_MAX_STEPS = 10_000_000  # per integration, for either method
+
+
 def integrate_fixed(
     f: Evaluator,
     u0: Mapping[str, float],
@@ -143,13 +152,14 @@ def integrate_fixed(
     """Classical fourth-order Runge-Kutta on a uniform grid ending at `t1`.
 
     The step is shrunk slightly when (t1 - t0) is not a multiple of `dt` so
-    the grid stays uniform and includes the endpoint.
+    the grid stays uniform and includes the endpoint.  A grid of more than
+    ``_MAX_STEPS`` steps is rejected before the first step.
     """
-    if dt <= 0:
-        raise OdeError("dt must be positive")
-    if t1 <= t0:
-        raise OdeError("t1 must exceed t0")
-    steps = max(1, math.ceil((t1 - t0) / dt - 1e-9))
+    _check_arguments(t0, t1, dt=dt)
+    steps = (t1 - t0) / dt
+    if steps > _MAX_STEPS:
+        raise OdeError(f"dt={dt!r} needs more than {_MAX_STEPS} steps")
+    steps = max(1, math.ceil(steps - 1e-9))
     h = (t1 - t0) / steps
 
     names = list(u0)
@@ -186,7 +196,6 @@ _DP_A = (
 )
 _DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
-_MAX_STEPS = 10_000_000
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -204,10 +213,7 @@ def integrate_adaptive(
 ) -> Trajectory:
     """Dormand-Prince 5(4) with PI step-size control; output at the accepted
     steps.  The initial step is (t1 - t0) / 100."""
-    if abstol <= 0 or reltol <= 0:
-        raise OdeError("tolerances must be positive")
-    if t1 <= t0:
-        raise OdeError("t1 must exceed t0")
+    _check_arguments(t0, t1, abstol=abstol, reltol=reltol)
 
     names = list(u0)
     u = dict(u0)
@@ -234,10 +240,7 @@ def integrate_adaptive(
                 for s in names
             }
             k.append(f(arg, t + _DP_C[stage] * h))
-        u_new = {
-            s: u[s] + h * sum(a * k[j][s] for j, a in enumerate(_DP_A[6]))
-            for s in names
-        }
+        u_new = arg  # the last stage is evaluated at the fifth-order solution
 
         err_sq = 0.0
         for s in names:

@@ -8,18 +8,17 @@ deterministic: node ids are s1.., v1.., sv1.. in table order.
 """
 from __future__ import annotations
 
-from typing import Sequence
-
 from .acset import preimages
 from .diagrams import StockFlowDiagram, _flatten
 from .odes import Trajectory
 from .stratify import TypedDiagram
 from .views import CausalLoopGraph
 
-# Default palettes for typed rendering (flow kinds, stock kinds, sum kinds).
-FLOW_COLORS = ["antiquewhite4", "antiquewhite", "gold", "saddlebrown", "slateblue", "blueviolet", "olive"]
-STOCK_COLORS = ["deeppink", "darkorchid", "darkred", "coral"]
-SUM_COLORS = ["cornflowerblue", "cyan4", "cyan", "chartreuse"]
+# Palettes for typed rendering, by flow, stock and sum kind; a type model
+# with more kinds than colours reuses them in order.
+FLOW_COLORS = ("antiquewhite4", "antiquewhite", "gold", "saddlebrown", "slateblue", "blueviolet", "olive")
+STOCK_COLORS = ("deeppink", "darkorchid", "darkred", "coral")
+SUM_COLORS = ("cornflowerblue", "cyan4", "cyan", "chartreuse")
 
 
 class RenderError(Exception):
@@ -95,36 +94,26 @@ def emit_dot(d: StockFlowDiagram) -> str:
     )
 
 
-def emit_dot_typed(
-    t: TypedDiagram,
-    flow_colors: Sequence[str] = FLOW_COLORS,
-    stock_colors: Sequence[str] = STOCK_COLORS,
-    sum_colors: Sequence[str] = SUM_COLORS,
-) -> str:
+def emit_dot_typed(t: TypedDiagram) -> str:
     """Colour stocks/sums by their kind and flows (plus their variables) by
     the flow kind; the flow edge uses the layered `c:invis:c` style."""
-    inst = t.diagram.inst
-    kinds = t.type_system.inst
-    for palette, obj in ((flow_colors, "F"), (stock_colors, "S"), (sum_colors, "SV")):
-        if kinds.n[obj] > len(palette):
-            raise RenderError(f"palette for {obj} has {len(palette)} colours, need {kinds.n[obj]}")
+    rate_users = preimages(t.diagram.inst.columns["fv"])
 
-    rate_users = preimages(inst.columns["fv"])
+    def color(palette: tuple[str, ...], obj: str, i: int) -> str:
+        return palette[(t.typing.apply(obj, i) - 1) % len(palette)]
 
     def var_color(i: int) -> str:
         flows = rate_users.get(i, [])
-        if len(flows) != 1:
-            return "black"
-        return flow_colors[t.typing.apply("F", flows[0]) - 1]
+        return color(FLOW_COLORS, "F", flows[0]) if len(flows) == 1 else "black"
 
     def flow_color(i: int) -> str:
-        c = flow_colors[t.typing.apply("F", i) - 1]
+        c = color(FLOW_COLORS, "F", i)
         return f"{c}:invis:{c}"
 
     return _emit_diagram(
         t.diagram,
-        stock_fill=lambda i: stock_colors[t.typing.apply("S", i) - 1],
-        sum_fill=lambda i: sum_colors[t.typing.apply("SV", i) - 1],
+        stock_fill=lambda i: color(STOCK_COLORS, "S", i),
+        sum_fill=lambda i: color(SUM_COLORS, "SV", i),
         var_color=var_color,
         flow_color=flow_color,
     )
@@ -150,20 +139,3 @@ def emit_csv(traj: Trajectory) -> str:
         lines.append(",".join([repr(t)] + [repr(state[s]) for s in names]))
     return "\n".join(lines) + "\n"
 
-
-def parse_csv(text: str) -> Trajectory:
-    """Inverse of :func:`emit_csv`."""
-    lines = [ln for ln in text.split("\n") if ln]
-    header = lines[0].split(",")
-    if not header or header[0] != "t":
-        raise RenderError("first column must be t")
-    names = header[1:]
-    times = []
-    states = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != len(header):
-            raise RenderError(f"row has {len(cells)} cells, expected {len(header)}")
-        times.append(float(cells[0]))
-        states.append({s: float(x) for s, x in zip(names, cells[1:])})
-    return Trajectory(times, states, {"method": "csv"})

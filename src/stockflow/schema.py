@@ -32,10 +32,8 @@ class SchemaDef:
         for attr, carrier in name_attributes:
             if carrier not in objs:
                 raise ValueError(f"attribute {attr!r} references unknown object")
-        # Lookup maps, built once.  The first attribute listed for a carrier
-        # is its name attribute.
-        self._morphism = {m[0]: m for m in morphisms}
-        self._morphisms_from = {obj: tuple(m for m in morphisms if m[1] == obj) for obj in objects}
+        # Built once.  The first attribute listed for a carrier is its name
+        # attribute.
         self._name_attribute = {carrier: attr for attr, carrier in reversed(name_attributes)}
 
     def __eq__(self, other: object) -> bool:
@@ -45,15 +43,6 @@ class SchemaDef:
 
     def __hash__(self) -> int:
         return hash((self.objects, self.morphisms, self.name_attributes))
-
-    def morphism(self, name: str) -> tuple[str, str, str]:
-        try:
-            return self._morphism[name]
-        except KeyError:
-            raise KeyError(f"unknown morphism: {name!r}") from None
-
-    def morphisms_from(self, obj: str) -> tuple[tuple[str, str, str], ...]:
-        return self._morphisms_from.get(obj, ())
 
     def name_attribute_of(self, obj: str) -> str | None:
         return self._name_attribute.get(obj)

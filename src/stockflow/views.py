@@ -25,11 +25,6 @@ class CausalLoopGraph(NamedTuple):
     def edges(self) -> list[tuple[int, int]]:
         return list(zip(self.inst.columns["s"], self.inst.columns["t"]))
 
-    @property
-    def edge_labels(self) -> list[tuple[str, str]]:
-        names = self.nodes
-        return [(names[s - 1], names[t - 1]) for s, t in self.edges]
-
 
 def to_causal_loop(d: StockFlowDiagram) -> CausalLoopGraph:
     """Node order: stocks, sum variables, auxiliary variables.  Edge order:

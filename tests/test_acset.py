@@ -7,21 +7,16 @@ from stockflow.acset import (
     AcsetError,
     Homomorphism,
     Instance,
-    add_part,
-    canonical_sort,
     compose_hom,
-    empty_instance,
-    identity_hom,
-    incident,
     is_natural,
     naturality_failures,
     pullback,
     pushout_quotient,
-    set_subpart,
-    subpart,
     validate_instance,
 )
 from stockflow.schema import schema_causalloop, schema_interface, schema_stockflow
+
+from reference import add_part, canonical_sort, identity_hom, incident, index_of, set_subpart, subpart
 
 
 def test_schema_constants():
@@ -38,7 +33,7 @@ def test_schema_constants():
 
 
 def test_add_part_indices():
-    inst = empty_instance(schema_stockflow())
+    inst = Instance(schema_stockflow())
     assert add_part(inst, "S", "S") == 1
     for name in ("E", "I", "R"):
         add_part(inst, "S", name)
@@ -51,7 +46,7 @@ def test_add_part_indices():
 
 
 def test_subpart_write_read():
-    inst = empty_instance(schema_stockflow())
+    inst = Instance(schema_stockflow())
     add_part(inst, "S", "S")
     add_part(inst, "V", "v")
     lv = add_part(inst, "LV")
@@ -67,18 +62,18 @@ def test_subpart_write_read():
 
 def test_seir_subpart_and_incident():
     seir = models.seir().inst
-    inf = seir.index_of("F", "inf")
+    inf = index_of(seir, "F", "inf")
     assert seir.name_of("V", subpart(seir, "fv", inf)) == "v_inf"
 
-    s = seir.index_of("S", "S")
+    s = index_of(seir, "S", "S")
     rows = incident(seir, "is", s)
     assert [seir.name_of("F", subpart(seir, "ifn", r)) for r in rows] == ["birth"]
 
-    i = seir.index_of("S", "I")
+    i = index_of(seir, "S", "I")
     rows = incident(seir, "os", i)
     assert {seir.name_of("F", subpart(seir, "ofn", r)) for r in rows} == {"rec", "deathI"}
 
-    empty = empty_instance(schema_causalloop())
+    empty = Instance(schema_causalloop())
     add_part(empty, "N", "x")
     assert incident(empty, "s", 1) == []
 
@@ -100,7 +95,7 @@ def test_validate_bundled_models_clean():
 
 
 def test_validate_flags_shared_inflow():
-    inst = empty_instance(schema_stockflow())
+    inst = Instance(schema_stockflow())
     add_part(inst, "S", "A")
     add_part(inst, "S", "B")
     add_part(inst, "F", "f")
@@ -115,7 +110,7 @@ def test_validate_flags_shared_inflow():
 
 
 def test_validate_flags_dangling_column():
-    inst = empty_instance(schema_stockflow())
+    inst = Instance(schema_stockflow())
     add_part(inst, "S", "A")
     add_part(inst, "F", "f")
     add_part(inst, "V", "v")
@@ -152,27 +147,24 @@ def test_mutated_typing_fails():
 
 def _failures_by_element(h):
     """Reference: the per-element scan that naturality_failures runs only
-    on columns whose whole-column comparison fails."""
+    on columns whose whole-column comparison fails.  An entry that is unset
+    or outside its codomain fails its square."""
     failures = []
     for m, dom, cod in h.source.schema.morphisms:
         for i in range(1, h.source.n[dom] + 1):
             v = h.source.columns[m][i - 1]
-            if v is None or h.components[cod][v - 1] != h.target.columns[m][h.components[dom][i - 1] - 1]:
+            if (
+                v is None
+                or not 1 <= v <= h.source.n[cod]
+                or h.components[cod][v - 1] != h.target.columns[m][h.components[dom][i - 1] - 1]
+            ):
                 failures.append((m, i))
     return failures
 
 
-def _outcome(check, h):
-    """The failure list, or IndexError where a column points past a table."""
-    try:
-        return check(h)
-    except IndexError:
-        return IndexError
-
-
 def _mutants(rng, h, count):
     """Copies of `h` with some component entries redirected and some source
-    column entries unset, 0 or negative."""
+    column entries unset, 0, negative or past the end of their codomain."""
     for _ in range(count):
         comps = {obj: list(comp) for obj, comp in h.components.items()}
         for obj, comp in comps.items():
@@ -185,9 +177,10 @@ def _mutants(rng, h, count):
             columns={m: list(col) for m, col in h.source.columns.items()},
             names=h.source.names,
         )
-        for col in source.columns.values():
+        for m, _, cod in source.schema.morphisms:
+            col = source.columns[m]
             if col and rng.random() < 0.2:
-                col[rng.randrange(len(col))] = rng.choice([None, 0, -1])
+                col[rng.randrange(len(col))] = rng.choice([None, 0, -1, source.n[cod] + 1])
         yield Homomorphism(source, h.target, comps)
 
 
@@ -200,11 +193,24 @@ def test_naturality_failures_match_the_per_element_scan():
     for h in homs:
         assert naturality_failures(h) == _failures_by_element(h) == []
         for mutant in _mutants(rng, h, 10):
-            expected = _outcome(_failures_by_element, mutant)
-            assert _outcome(naturality_failures, mutant) == expected
+            expected = _failures_by_element(mutant)
+            assert naturality_failures(mutant) == expected
             checked += 1
             failing += bool(expected)
     assert failing > checked // 4  # the mutants do reach the element walk
+
+
+@pytest.mark.parametrize("value", [0, -1, "past the end"])
+def test_out_of_range_column_values_fail_their_square(value):
+    # Python's negative indexing once read is[0] = 0 or -1 as the last
+    # image, and a value past the end raised a bare IndexError.
+    h = models.seir_typed().typing
+    columns = {m: list(col) for m, col in h.source.columns.items()}
+    columns["is"][0] = h.source.n["S"] + 1 if value == "past the end" else value
+    source = Instance(h.source.schema, n=dict(h.source.n), columns=columns, names=h.source.names)
+    mutant = Homomorphism(source, h.target, h.components)
+    assert naturality_failures(mutant) == [("is", 1)]
+    assert not is_natural(mutant)
 
 
 def test_components_must_be_total_and_in_range():
@@ -227,7 +233,7 @@ def test_identity_composition():
 
 
 def _random_graph(rng, max_n=6):
-    inst = empty_instance(schema_causalloop())
+    inst = Instance(schema_causalloop())
     for k in range(rng.randint(1, max_n)):
         add_part(inst, "N", f"n{k}")
     for _ in range(rng.randint(0, max_n)):
@@ -240,7 +246,7 @@ def _random_graph(rng, max_n=6):
 def _random_hom_into(rng, target, max_n=6):
     """A random instance with a natural map into `target`, built by choosing
     images first and then only structure the images support."""
-    source = empty_instance(schema_causalloop())
+    source = Instance(schema_causalloop())
     n_comp = []
     for k in range(rng.randint(1, max_n)):
         add_part(source, "N", f"m{k}")
@@ -289,7 +295,7 @@ def test_kernel_endpoint_mismatches_are_rejected():
         compose_hom(identity_hom(seir), identity_hom(sve))
     with pytest.raises(AcsetError):
         pullback(identity_hom(seir), identity_hom(sve))
-    cl = empty_instance(schema_causalloop())
+    cl = Instance(schema_causalloop())
     with pytest.raises(AcsetError):
         pullback(identity_hom(seir), identity_hom(cl))
 
@@ -302,9 +308,9 @@ def test_pushout_single_part_is_copy():
 
 
 def test_pushout_glues_single_stock():
-    a = empty_instance(schema_stockflow())
+    a = Instance(schema_stockflow())
     add_part(a, "S", "S")
-    b = empty_instance(schema_stockflow())
+    b = Instance(schema_stockflow())
     add_part(b, "S", "S")
     out, injections = pushout_quotient([a, b], [(0, "S", 1, 1, 1)])
     assert out.n["S"] == 1
@@ -312,7 +318,7 @@ def test_pushout_glues_single_stock():
 
 
 def test_pushout_rejects_bad_references():
-    a = empty_instance(schema_stockflow())
+    a = Instance(schema_stockflow())
     add_part(a, "S", "S")
     with pytest.raises(AcsetError):
         pushout_quotient([a, a], [(0, "S", 1, 1, 5)])
@@ -325,7 +331,7 @@ def test_pushout_seir_sve_stock_counts():
     sve = models.sve().inst
     idents = []
     for name in ("S", "E", "I"):
-        idents.append((0, "S", seir.index_of("S", name), 1, sve.index_of("S", name)))
+        idents.append((0, "S", index_of(seir, "S", name), 1, index_of(sve, "S", name)))
     idents.append((0, "SV", 1, 1, 1))
     out, _ = pushout_quotient([seir, sve], idents)
     assert out.n["S"] == 5
@@ -432,7 +438,7 @@ def test_canonical_sort_is_isomorphism_invariant():
             rng.shuffle(order)
             perm[obj] = order  # new position k holds old element order[k]
             back[obj] = {old: k + 1 for k, old in enumerate(order)}
-        shuffled = empty_instance(seir.schema)
+        shuffled = Instance(seir.schema)
         for obj in seir.schema.objects:
             shuffled.n[obj] = seir.n[obj]
             attr = seir.schema.name_attribute_of(obj)

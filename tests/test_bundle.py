@@ -5,11 +5,12 @@ import pytest
 
 from stockflow import bundle as bio
 from stockflow import models
-from stockflow.acset import canonical_sort
 from stockflow.bundle import BundleError, ModelBundle
 from stockflow.diagrams import attach_dynamics, flatten_names
 from stockflow.odes import vectorfield
 from stockflow.stratify import stratify
+
+from reference import canonical_sort
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 

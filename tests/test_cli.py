@@ -1,4 +1,6 @@
 import json
+import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +12,11 @@ from stockflow import bundle as bio
 from stockflow import cli, models
 from stockflow.bundle import ModelBundle
 from stockflow.cli import run
+from stockflow.render import STOCK_COLORS
 from stockflow.diagrams import build_system_structure
-from stockflow.render import parse_csv
 from stockflow.stratify import make_typed
+
+from reference import parse_csv
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -217,6 +221,22 @@ def test_graph_plain_and_typed(bundles_dir, tmp_path):
     assert "antiquewhite" in typed_out.read_text()
 
 
+def test_graph_typed_repeats_colours_past_the_palette(tmp_path):
+    # Five stock kinds against four stock colours: the fifth kind reuses the
+    # first colour instead of failing the command.
+    stocks = ["A", "B", "C", "D", "E"]
+    d = build_system_structure({s: (None, None, None, None) for s in stocks}, {})
+    b = ModelBundle(
+        models={"five": bio.diagram_to_model(d)},
+        typings={"t_five": bio.typing_to_def("five", "five", make_typed(d, d, {"S": [1, 2, 3, 4, 5]}))},
+    )
+    path, out = tmp_path / "five.json", tmp_path / "five.dot"
+    path.write_text(bio.emit_json(b))
+    assert run(["graph", str(path), "--typed", "t_five", "--out", str(out)]) == 0
+    fills = re.findall(r'fillcolor="([^"]*)"', out.read_text())
+    assert fills == [*STOCK_COLORS, STOCK_COLORS[0]]
+
+
 def test_outputs_are_byte_identical_across_runs(bundles_dir, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
@@ -312,6 +332,50 @@ def test_numeric_errors_in_formulas_are_exit_3(bundles_dir, tmp_path, capsys, fo
     assert code == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "v_rec" in err and "Traceback" not in err
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+# (simulate arguments, message, whether a regression could run forever)
+NON_FINITE = {
+    "t1-nan": (["--t0", "0", "--t1", "nan"], "t1 must be finite, got nan", False),
+    "abstol-nan": (["--t0", "0", "--t1", "5", "--abstol", "nan"], "abstol must be finite, got nan", False),
+    "reltol-inf": (["--t0", "0", "--t1", "5", "--reltol", "inf"], "reltol must be finite, got inf", False),
+    "rk4-dt-nan": (["--t0", "0", "--t1", "5", "--method", "rk4", "--dt", "nan"], "dt must be finite, got nan", False),
+    "t1-inf": (["--t0", "0", "--t1", "inf"], "t1 must be finite, got inf", True),
+    "t0-inf": (["--t0=-inf", "--t1", "5"], "t0 must be finite, got -inf", True),
+    "span-overflows": (["--t0=-1e308", "--t1", "1e308"], "t1 - t0 must be finite, got inf", True),
+    "rk4-dt-tiny": (
+        ["--t0", "0", "--t1", "5", "--method", "rk4", "--dt", "1e-300"],
+        "dt=1e-300 needs more than 10000000 steps",
+        True,
+    ),
+}
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("times, message, endless", NON_FINITE.values(), ids=list(NON_FINITE))
+def test_non_finite_numeric_arguments_are_exit_3(tmp_path, capsys, times, message, endless):
+    out = tmp_path / "x.csv"
+    argv = ["simulate", str(MODELS_DIR / "seir.json"), *times, "--out", str(out)]
+    if endless:
+        # A fresh process under a timeout and a memory limit, so that a
+        # regression fails the test instead of hanging the suite.
+        src = str(Path(stockflow.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "stockflow.cli", *argv], capture_output=True, text=True,
+            timeout=60, env={"PYTHONPATH": src}, preexec_fn=_limit_memory,
+        )
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, err = run(argv), capsys.readouterr().err
+    assert (code, err) == (3, f"integration failed: {message}\n")
+    assert not out.exists()
 
 
 def _seir_typed_doc(bundles_dir):

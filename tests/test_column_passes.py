@@ -1,16 +1,17 @@
 """The whole-table passes read foreign-key columns directly; the one-element
-accessors (`subpart`, `incident`, `upstream`, `downstream`) are their
-reference on every bundled model, a composite and a stratified diagram."""
+accessors of `reference` (`subpart`, `incident`, `upstream`, `downstream`)
+are their reference on every bundled model, a composite and a stratified diagram."""
 import pytest
 
 from stockflow import bundle as bio
 from stockflow import models
-from stockflow.acset import incident, subpart
 from stockflow.compose import oapply
-from stockflow.diagrams import downstream, open_diagram, upstream
+from stockflow.diagrams import open_diagram
 from stockflow.odes import sumvar_values
 from stockflow.stratify import stratify
 from stockflow.views import to_causal_loop
+
+from reference import downstream, incident, subpart, upstream
 
 
 def _diagrams():

@@ -1,7 +1,7 @@
 import pytest
 
 from stockflow import models
-from stockflow.acset import canonical_sort, is_natural, validate_instance
+from stockflow.acset import is_natural, validate_instance
 from stockflow.compose import Box, WiringPattern, apex, oapply
 from stockflow.diagrams import (
     DiagramError,
@@ -11,6 +11,8 @@ from stockflow.diagrams import (
     to_system_structure,
 )
 from stockflow.odes import vectorfield
+
+from reference import canonical_sort
 
 
 def _open_seirv_parts():

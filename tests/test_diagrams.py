@@ -7,15 +7,13 @@ from stockflow.diagrams import (
     attach_dynamics,
     build_stockflow,
     build_system_structure,
-    downstream,
     flatten_names,
     foot,
-    inflows_of,
     open_diagram,
-    outflows_of,
     to_system_structure,
-    upstream,
 )
+
+from reference import downstream, inflows_of, outflows_of, upstream
 
 
 def test_seir_table_sizes():

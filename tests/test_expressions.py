@@ -9,7 +9,7 @@ from stockflow.expressions import (
     Num,
     ParseError,
     Unary,
-    eval_expression,
+    compile_expression,
     format_expression,
     identifiers,
     parse_expression,
@@ -40,12 +40,12 @@ def test_parenthesis_elimination():
 
 
 def test_precedence_and_associativity():
-    assert eval_expression(parse_expression("2+3*4"), {}) == 14.0
-    assert eval_expression(parse_expression("2^3^2"), {}) == 512.0  # right-assoc
-    assert eval_expression(parse_expression("-2^2"), {}) == -4.0
-    assert eval_expression(parse_expression("(2+3)*4"), {}) == 20.0
-    assert eval_expression(parse_expression("10-4-3"), {}) == 3.0  # left-assoc
-    assert eval_expression(parse_expression("2*-3"), {}) == -6.0
+    assert compile_expression(parse_expression("2+3*4"))({}) == 14.0
+    assert compile_expression(parse_expression("2^3^2"))({}) == 512.0  # right-assoc
+    assert compile_expression(parse_expression("-2^2"))({}) == -4.0
+    assert compile_expression(parse_expression("(2+3)*4"))({}) == 20.0
+    assert compile_expression(parse_expression("10-4-3"))({}) == 3.0  # left-assoc
+    assert compile_expression(parse_expression("2*-3"))({}) == -6.0
 
 
 def test_syntax_errors_carry_position():
@@ -64,26 +64,26 @@ def test_syntax_errors_carry_position():
 
 def test_eval_incidence_at_measles_values():
     env = {"beta": 49.598, "S": 89070.0, "I": 930.0, "N": 863545.0}
-    got = eval_expression(parse_expression("beta*S*I/N"), env)
+    got = compile_expression(parse_expression("beta*S*I/N"))(env)
     assert got == 49.598 * 89070.0 * 930.0 / 863545.0
 
 
 def test_time_symbol_is_plain_binding():
-    assert eval_expression(parse_expression("t"), {"t": 3.5}) == 3.5
+    assert compile_expression(parse_expression("t"))({"t": 3.5}) == 3.5
 
 
 def test_division_by_zero_is_an_error():
     with pytest.raises(EvalError):
-        eval_expression(parse_expression("I/trec"), {"I": 1.0, "trec": 0.0})
+        compile_expression(parse_expression("I/trec"))({"I": 1.0, "trec": 0.0})
 
 
 def test_unbound_identifier():
     with pytest.raises(EvalError):
-        eval_expression(parse_expression("a+b"), {"a": 1.0})
+        compile_expression(parse_expression("a+b"))({"a": 1.0})
 
 
 def test_scientific_notation():
-    assert eval_expression(parse_expression("1e-8+2.5E2"), {}) == 1e-8 + 250.0
+    assert compile_expression(parse_expression("1e-8+2.5E2"))({}) == 1e-8 + 250.0
 
 
 def _random_tree(rng: random.Random, depth: int):

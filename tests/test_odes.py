@@ -5,6 +5,7 @@ import pytest
 
 from stockflow import models
 from stockflow.diagrams import build_stockflow, to_system_structure
+from stockflow.expressions import compile_expression
 from stockflow.odes import (
     OdeError,
     integrate_adaptive,
@@ -162,7 +163,7 @@ def test_closed_diagrams_conserve_exactly():
 
 def test_vectorfield_agrees_with_per_stock_reevaluation():
     # Oracle: recompute every flow independently per stock from the tables.
-    from stockflow.acset import incident, subpart
+    from reference import incident, subpart
 
     rng = random.Random(4)
     for _ in range(20):
@@ -177,12 +178,10 @@ def test_vectorfield_agrees_with_per_stock_reevaluation():
             total = 0.0
             for row in incident(inst, "is", s_idx):
                 v = d.variables[subpart(inst, "fv", subpart(inst, "ifn", row)) - 1]
-                from stockflow.expressions import eval_expression
-                total += eval_expression(d.expressions[v], {**u, **sums, "t": 0.5})
+                total += compile_expression(d.expressions[v])({**u, **sums, "t": 0.5})
             for row in incident(inst, "os", s_idx):
                 v = d.variables[subpart(inst, "fv", subpart(inst, "ofn", row)) - 1]
-                from stockflow.expressions import eval_expression
-                total -= eval_expression(d.expressions[v], {**u, **sums, "t": 0.5})
+                total -= compile_expression(d.expressions[v])({**u, **sums, "t": 0.5})
             assert got[s] == pytest.approx(total, rel=1e-12, abs=1e-12)
 
 
@@ -272,8 +271,8 @@ def test_dp45_seirv_vaccination_course():
     f = vectorfield(composed, p)
     traj = integrate_adaptive(f, u0, 0.0, 100.0)
     total = sum(u0.values())
-    v_series = traj.series("V")
-    i_series = traj.series("I")
+    v_series = [u["V"] for u in traj.states]
+    i_series = [u["I"] for u in traj.states]
     for state in traj.states:
         assert sum(state.values()) == pytest.approx(total, rel=1e-6)
         assert all(value >= -1e-9 for value in state.values())
@@ -322,3 +321,17 @@ def test_dp45_tolerance_validation():
     f = lambda u, t: {"u": 0.0}
     with pytest.raises(OdeError):
         integrate_adaptive(f, {"u": 1.0}, 0.0, 1.0, abstol=0.0)
+
+
+@pytest.mark.parametrize("integrate, message", [
+    (lambda f: integrate_fixed(f, {"u": 1.0}, 0.0, float("nan"), 0.1), "t1 must be finite, got nan"),
+    (lambda f: integrate_fixed(f, {"u": 1.0}, 0.0, 1.0, float("nan")), "dt must be finite, got nan"),
+    (lambda f: integrate_fixed(f, {"u": 1.0}, 0.0, 1.0, 1e-300), "needs more than 10000000 steps"),
+    (lambda f: integrate_adaptive(f, {"u": 1.0}, float("nan"), 1.0), "t0 must be finite, got nan"),
+    (lambda f: integrate_adaptive(f, {"u": 1.0}, 0.0, 1.0, abstol=float("nan")), "abstol must be finite"),
+], ids=["rk4-t1", "rk4-dt", "rk4-steps", "dp45-t0", "dp45-abstol"])
+def test_integrators_reject_non_finite_arguments(integrate, message):
+    calls = []
+    with pytest.raises(OdeError, match=message):
+        integrate(lambda u, t: calls.append(t) or {"u": 0.0})
+    assert calls == []  # rejected before the first right-hand-side call

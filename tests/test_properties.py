@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stockflow import bundle as bio
-from stockflow.acset import Instance, compose_hom, identity_hom, is_natural, pushout_quotient
+from stockflow.acset import Instance, compose_hom, is_natural, pushout_quotient
 from stockflow.expressions import BinOp, Ident, Num, Unary, format_expression, parse_expression
 from stockflow.schema import schema_causalloop, schema_interface, schema_stockflow
+
+from reference import identity_hom, morphisms_from
 
 # Names with what JSON must escape or keep verbatim: quotes, backslashes,
 # control characters, line separators and non-ASCII text.
@@ -92,9 +94,9 @@ def instances(draw, schema):
     while len(n) < len(schema.objects):
         obj = next(
             o for o in schema.objects
-            if o not in n and all(cod in n for _, _, cod in schema.morphisms_from(o))
+            if o not in n and all(cod in n for _, _, cod in morphisms_from(schema, o))
         )
-        outgoing = schema.morphisms_from(obj)
+        outgoing = morphisms_from(schema, obj)
         n[obj] = 0 if any(n[cod] == 0 for _, _, cod in outgoing) else draw(st.integers(0, 3))
         for m, _, cod in outgoing:
             columns[m] = draw(st.lists(st.integers(1, n[cod]), min_size=n[obj], max_size=n[obj])) if n[obj] else []

@@ -1,98 +1,15 @@
-"""`build_system_structure` fills whole columns; the per-row `add_part` /
-`set_subpart` builder below is its reference, on every bundled model, a
+"""`build_system_structure` fills whole columns; the per-row builder
+`reference.reference_build` is its reference, on every bundled model, a
 composite and stratified diagrams, and on every error branch."""
 import pytest
 
 from stockflow import bundle as bio
 from stockflow import models
-from stockflow.acset import add_part, canonical_sort, empty_instance, set_subpart, validate_instance
 from stockflow.compose import oapply
-from stockflow.diagrams import (
-    DiagramError,
-    StockFlowDiagram,
-    build_system_structure,
-    inflows_of,
-    open_diagram,
-    outflows_of,
-)
-from stockflow.schema import schema_stockflow
+from stockflow.diagrams import DiagramError, build_system_structure, open_diagram
 from stockflow.stratify import stratify
 
-
-def _as_names(value):
-    if value in (None, (), []):
-        return []
-    return [value] if isinstance(value, str) else list(value)
-
-
-def reference_build(stocks, flows, sums=(), variable_order=None):
-    """One element and one foreign key at a time, in block order."""
-    stock_items = list(stocks.items() if isinstance(stocks, dict) else stocks)
-    flow_items = list(flows.items() if isinstance(flows, dict) else flows)
-    sum_items = list(sums.items() if isinstance(sums, dict) else sums)
-    inst = empty_instance(schema_stockflow())
-    stock_index, flow_index, var_index, sum_index = {}, {}, {}, {}
-    for name, _ in stock_items:
-        if name in stock_index:
-            raise DiagramError(f"duplicate stock {name!r}")
-        stock_index[name] = add_part(inst, "S", name)
-    for name, _ in flow_items:
-        if name in flow_index:
-            raise DiagramError(f"duplicate flow {name!r}")
-        flow_index[name] = add_part(inst, "F", name)
-    if variable_order is not None:
-        for var in variable_order:
-            if var in var_index:
-                raise DiagramError(f"duplicate variable {var!r}")
-            var_index[var] = add_part(inst, "V", var)
-    mentioned = [var for _, var in flow_items]
-    mentioned += [var for _, spec in stock_items for var in _as_names(spec[2])]
-    mentioned += [var for _, targets in sum_items for var in _as_names(targets)]
-    for var in mentioned:
-        if var not in var_index:
-            if variable_order is not None:
-                raise DiagramError(f"unknown variable {var!r}")
-            var_index[var] = add_part(inst, "V", var)
-    for name, _ in sum_items:
-        if name in sum_index:
-            raise DiagramError(f"duplicate sum variable {name!r}")
-        sum_index[name] = add_part(inst, "SV", name)
-    for flow, var in flow_items:
-        set_subpart(inst, "fv", flow_index[flow], var_index[var])
-    for stock, spec in stock_items:
-        if len(spec) != 4:
-            raise DiagramError(f"stock {stock!r}: expected (inflows, outflows, variables, sums)")
-        inflows, outflows, link_vars, link_sums = spec
-        s = stock_index[stock]
-        for table, fk, flow_list, kind in (("I", "ifn", inflows, "inflow"), ("O", "ofn", outflows, "outflow")):
-            for flow in _as_names(flow_list):
-                if flow not in flow_index:
-                    raise DiagramError(f"stock {stock!r} {kind} references unknown flow {flow!r}")
-                row = add_part(inst, table)
-                set_subpart(inst, "is" if table == "I" else "os", row, s)
-                set_subpart(inst, fk, row, flow_index[flow])
-        for var in _as_names(link_vars):
-            row = add_part(inst, "LV")
-            set_subpart(inst, "lvs", row, s)
-            set_subpart(inst, "lvv", row, var_index[var])
-        for sv in _as_names(link_sums):
-            if sv not in sum_index:
-                raise DiagramError(f"stock {stock!r} links unknown sum variable {sv!r}")
-            row = add_part(inst, "LS")
-            set_subpart(inst, "lss", row, s)
-            set_subpart(inst, "lssv", row, sum_index[sv])
-    for sv, targets in sum_items:
-        for var in _as_names(targets):
-            row = add_part(inst, "LSV")
-            set_subpart(inst, "lsvsv", row, sum_index[sv])
-            set_subpart(inst, "lsvv", row, var_index[var])
-    clash = set(stock_index) & set(sum_index)
-    if clash:
-        raise DiagramError(f"stock and sum variable share a name: {', '.join(sorted(clash))}")
-    problems = validate_instance(inst)
-    if problems:
-        raise DiagramError("; ".join(problems))
-    return StockFlowDiagram(inst)
+from reference import canonical_sort, inflows_of, outflows_of, reference_build
 
 
 def block_layout(d):
